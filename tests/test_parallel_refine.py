@@ -21,6 +21,8 @@ from repro.core import parallel_refine
 from repro.core.parallel_refine import ParallelGainPool, split_ranks_by_edges
 from repro.distributed.shared_pool import SharedArrayPack, SharedArrayPool
 from repro.distributed_shp import DistributedSHP
+from golden.record_goldens import assert_dshp_cell, load_goldens
+from repro.distributed import RpcBackend
 from repro.hypergraph import BipartiteGraph, community_bipartite
 from repro.objectives import compact_cell_sums
 
@@ -293,16 +295,12 @@ class TestSparseS3:
     def test_dict_columnar_parity(self, mode, k):
         # k=16 drives mode-"k" S3 past DENSE_S3_MAX_LEVEL_K into the
         # sparse selection; mode "2" exercises the sibling-restricted
-        # aggregation.  Both must stay bitwise-equal to the dict path.
-        graph = community_bipartite(
-            160, 240, 1500, num_communities=8, mixing=0.2, seed=5
-        )
-        cfg = SHPConfig(
-            k=k, seed=11, iterations_per_bisection=6, max_iterations=8
-        )
-        cols = DistributedSHP(cfg, mode=mode, vertex_mode="columnar").run(graph)
-        dicts = DistributedSHP(cfg, mode=mode, vertex_mode="dict").run(graph)
-        assert np.array_equal(cols.assignment, dicts.assignment)
+        # aggregation.  Both must reproduce, bitwise and on every backend,
+        # the golden cell recorded from the retired dict vertex program.
+        name = f"sparse-s3-{mode}-{k}"
+        cell = load_goldens("distributed_shp.json")[name]
+        for backend in ("sim", "mp", RpcBackend(step_timeout=60.0)):
+            assert_dshp_cell(cell, backend, label=name)
 
 
 class TestTransientMetering:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from golden.record_goldens import load_goldens, replay_record, run_replay
 from repro import SHPConfig
 from repro.cli import main
 from repro.core import budgeted_incremental_update, incremental_update
@@ -23,25 +24,27 @@ def darwini_graph() -> BipartiteGraph:
     return darwini_bipartite(1500, avg_degree=20, clustering=0.4, seed=3)
 
 
-class TestBatchLoopParity:
-    def test_counters_bitwise_identical(self, darwini_graph):
-        graph = darwini_graph
-        assignment = (np.arange(graph.num_data) % 12).astype(np.int64)
-        trace = sample_queries(graph, 4000, skew=0.8, seed=5)
-        batch = replay_traffic(graph, assignment, 12, trace, seed=7, method="batch")
-        loop = replay_traffic(graph, assignment, 12, trace, seed=7, method="loop")
-        assert np.array_equal(batch.fanouts, loop.fanouts)
-        assert np.array_equal(batch.records, loop.records)
-        assert batch.requests_total == loop.requests_total
-        assert batch.records_total == loop.records_total
+REPLAY_GOLDENS = load_goldens("serving_replay.json")
 
-    def test_latencies_same_distribution(self, darwini_graph):
-        graph = darwini_graph
-        assignment = (np.arange(graph.num_data) % 8).astype(np.int64)
-        trace = sample_queries(graph, 5000, seed=6)
-        batch = replay_traffic(graph, assignment, 8, trace, seed=9, method="batch")
-        loop = replay_traffic(graph, assignment, 8, trace, seed=9, method="loop")
-        assert np.isclose(batch.mean_latency(), loop.mean_latency(), rtol=0.05)
+
+class TestBatchLoopParity:
+    """The batch replay against goldens recorded from the retired
+    per-query loop replay on the same traces."""
+
+    def test_counters_bitwise_identical(self):
+        for trace, golden in sorted(REPLAY_GOLDENS.items()):
+            batch = replay_record(run_replay(golden))
+            for key in ("num_samples", "fanouts_sha256", "records_sha256",
+                        "requests_total", "records_total"):
+                assert batch[key] == golden[key], (trace, key)
+
+    def test_latencies_same_distribution(self):
+        # Same lognormal model, different draw order: means agree to 5%.
+        for trace, golden in sorted(REPLAY_GOLDENS.items()):
+            batch = replay_record(run_replay(golden))
+            assert np.isclose(
+                batch["mean_latency_ms"], golden["mean_latency_ms"], rtol=0.05
+            ), trace
 
     def test_empty_queries_skipped_in_both_paths(self):
         # Query 1 has no neighbors: neither path may emit a sample for it.

@@ -1,159 +1,79 @@
-"""Cross-backend × vertex-mode parity for distributed SHP.
+"""Distributed SHP parity against golden oracles, on every backend.
 
-The columnar fast path is only a fast path if it is *invisible*: for a
-given seed, every cell of {sim, mp} × {dict, columnar} × {mode "2", mode
-"k"} × {unweighted, query-weighted} must produce bitwise-identical
-assignments and identical message/byte meters.  The dict/sim cell is the
-reference; every other cell is compared against it.
+``tests/golden/distributed_shp.json`` holds one cell per (graph, config,
+mode, workers, combiner) of the parity grids, recorded from the per-vertex
+dict vertex program before it was retired: assignment SHA-256, superstep
+and cycle counts, moved history and every logical meter per superstep.
+The columnar engine must reproduce each cell bitwise on sim, mp and rpc —
+including after an rpc peer is killed mid-run and its logical workers are
+adopted from checkpoints.
 
-A second grid pins combiners the same way across all three backends:
-{sim, mp, rpc} × {dict, columnar} × {combiner on, off} — assignments
-bitwise-equal everywhere (combining is semantically transparent), logical
-meters equal across backends *per combiner setting*, and combiner-on
-remote traffic strictly below combiner-off.
+The grids:
+
+* {mode "2", mode "k"} × {unweighted, query-weighted} at 3 workers;
+* combiner {off, on} on the unweighted graph — assignments equal either
+  way (combining is semantically transparent), combined remote traffic
+  strictly smaller;
+* the sparse-S3 cells (``2``/8 and ``k``/16), pinned by
+  ``tests/test_parallel_refine.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import SHPConfig
-from repro.distributed import ClusterSpec
-from repro.distributed_shp import DistributedSHP
-from repro.hypergraph import BipartiteGraph, community_bipartite
+from golden.record_goldens import assert_dshp_cell, load_goldens, run_dshp
+from repro.distributed import RpcBackend
+
+GOLDENS = load_goldens("distributed_shp.json")
 
 
-def _weighted(graph: BipartiteGraph, seed: int = 11) -> BipartiteGraph:
-    rng = np.random.default_rng(seed)
-    return BipartiteGraph(
-        num_queries=graph.num_queries,
-        num_data=graph.num_data,
-        q_indptr=graph.q_indptr,
-        q_indices=graph.q_indices,
-        d_indptr=graph.d_indptr,
-        d_indices=graph.d_indices,
-        query_weights=np.round(rng.uniform(0.5, 4.0, graph.num_queries), 3),
-        name="weighted",
-    )
-
-
-@pytest.fixture(scope="module")
-def graphs():
-    base = community_bipartite(140, 190, 1300, num_communities=8, mixing=0.2, seed=4)
-    return {"unweighted": base, "query-weighted": _weighted(base)}
-
-
-def _config() -> SHPConfig:
-    return SHPConfig(
-        k=4, seed=5, iterations_per_bisection=3, max_iterations=3,
-        swap_mode="bernoulli",
-    )
-
-
-def _run(graph, mode, backend, vertex_mode):
-    job = DistributedSHP(
-        _config(),
-        cluster=ClusterSpec(num_workers=3),
-        mode=mode,
-        backend=backend,
-        vertex_mode=vertex_mode,
-    )
-    return job.run(graph)
-
-
-@pytest.fixture(scope="module")
-def references(graphs):
-    return {
-        (mode, weighting): _run(graphs[weighting], mode, "sim", "dict")
-        for mode in ("2", "k")
-        for weighting in ("unweighted", "query-weighted")
-    }
-
-
-@pytest.mark.parametrize("backend", ["sim", "mp"])
-@pytest.mark.parametrize("vertex_mode", ["dict", "columnar"])
-@pytest.mark.parametrize("mode", ["2", "k"])
-@pytest.mark.parametrize("weighting", ["unweighted", "query-weighted"])
-class TestVertexModeParity:
-    def test_cell_matches_reference(
-        self, graphs, references, backend, vertex_mode, mode, weighting
-    ):
-        if (backend, vertex_mode) == ("sim", "dict"):
-            pytest.skip("reference cell")
-        reference = references[(mode, weighting)]
-        run = _run(graphs[weighting], mode, backend, vertex_mode)
-
-        assert np.array_equal(run.assignment, reference.assignment)
-        assert run.supersteps == reference.supersteps
-        assert run.cycles == reference.cycles
-        assert run.moved_history == reference.moved_history
-
-        for step, ref in zip(run.metrics.supersteps, reference.metrics.supersteps):
-            assert step.phase == ref.phase
-            assert step.messages_local == ref.messages_local
-            assert step.messages_remote == ref.messages_remote
-            assert step.bytes_local == ref.bytes_local
-            assert step.bytes_remote == ref.bytes_remote
-            assert step.active_vertices == ref.active_vertices
-            assert np.array_equal(step.messages_per_worker, ref.messages_per_worker)
-            assert np.array_equal(
-                step.remote_bytes_per_worker, ref.remote_bytes_per_worker
-            )
-            assert np.array_equal(step.ops_per_worker, ref.ops_per_worker)
-
-
-def _run_combiner(graph, backend, vertex_mode, combiner):
-    job = DistributedSHP(
-        _config(),
-        cluster=ClusterSpec(num_workers=3),
-        mode="2",
-        backend=backend,
-        vertex_mode=vertex_mode,
-        combiner=combiner,
-    )
-    return job.run(graph)
-
-
-@pytest.fixture(scope="module")
-def combiner_references(graphs):
-    """sim/dict runs, one per combiner setting."""
-    graph = graphs["unweighted"]
-    return {c: _run_combiner(graph, "sim", "dict", c) for c in (False, True)}
+def assert_matches_golden(name: str, backend: str, **rpc_kwargs) -> None:
+    """Run golden cell ``name`` on ``backend`` and compare every field."""
+    if backend == "rpc":
+        backend = RpcBackend(step_timeout=60.0, **rpc_kwargs)
+    assert_dshp_cell(GOLDENS[name], backend, label=name)
 
 
 @pytest.mark.parametrize("backend", ["sim", "mp", "rpc"])
-@pytest.mark.parametrize("vertex_mode", ["dict", "columnar"])
-@pytest.mark.parametrize("combiner", [False, True])
+@pytest.mark.parametrize("mode", ["2", "k"])
+@pytest.mark.parametrize("weighting", ["unweighted", "query-weighted"])
+class TestVertexModeParity:
+    def test_cell_matches_golden(self, backend, mode, weighting):
+        assert_matches_golden(f"grid-{mode}-{weighting}", backend)
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp", "rpc"])
+@pytest.mark.parametrize("combiner", ["off", "on"])
 class TestCombinerBackendParity:
-    def test_cell_matches_reference(
-        self, graphs, combiner_references, backend, vertex_mode, combiner
-    ):
-        if (backend, vertex_mode) == ("sim", "dict"):
-            pytest.skip("reference cell")
-        reference = combiner_references[combiner]
-        run = _run_combiner(graphs["unweighted"], backend, vertex_mode, combiner)
-
-        assert np.array_equal(run.assignment, reference.assignment)
-        assert run.supersteps == reference.supersteps
-        assert run.moved_history == reference.moved_history
-        for step, ref in zip(run.metrics.supersteps, reference.metrics.supersteps):
-            assert step.phase == ref.phase
-            assert step.messages_remote == ref.messages_remote
-            assert step.bytes_remote == ref.bytes_remote
-            assert step.active_vertices == ref.active_vertices
-            assert np.array_equal(
-                step.remote_bytes_per_worker, ref.remote_bytes_per_worker
-            )
+    def test_cell_matches_golden(self, backend, combiner):
+        assert_matches_golden(f"combiner-{combiner}", backend)
 
 
-def test_combiner_is_transparent_and_saves_bytes(combiner_references):
+@pytest.mark.parametrize("cell", ["grid-2-unweighted", "grid-k-query-weighted"])
+def test_rpc_adopt_after_chaos_kill_matches_golden(cell):
+    """Kill peer 1 right before superstep 6: its logical workers are
+    re-homed from checkpoints and the superstep retried — same cell."""
+    assert_matches_golden(cell, "rpc", chaos_kill=(6, 1))
+
+
+def test_combiner_is_transparent_and_saves_bytes():
     """Same assignment with and without combining, strictly fewer bytes."""
-    off = combiner_references[False]
-    on = combiner_references[True]
-    assert np.array_equal(on.assignment, off.assignment)
-    assert on.supersteps == off.supersteps
-    assert on.metrics.total_messages < off.metrics.total_messages
-    on_bytes = sum(s.bytes_remote for s in on.metrics.supersteps)
-    off_bytes = sum(s.bytes_remote for s in off.metrics.supersteps)
-    assert on_bytes < off_bytes
+    off = GOLDENS["combiner-off"]
+    on = GOLDENS["combiner-on"]
+    assert on["assignment_sha256"] == off["assignment_sha256"]
+    assert on["supersteps"] == off["supersteps"]
+
+    def total(cell, key):
+        return sum(step[key] for step in cell["steps"])
+
+    messages = {
+        name: total(cell, "messages_local") + total(cell, "messages_remote")
+        for name, cell in (("on", on), ("off", off))
+    }
+    assert messages["on"] < messages["off"]
+    assert total(on, "bytes_remote") < total(off, "bytes_remote")
+    # The live engine agrees with the recorded totals.
+    run = run_dshp(on)
+    assert run.metrics.total_messages == messages["on"]
+    assert sum(s.bytes_remote for s in run.metrics.supersteps) == total(on, "bytes_remote")
