@@ -63,7 +63,6 @@ __all__ = [
 GRAPH_SOURCES = ("file", "dataset", "darwini")
 JOB_KINDS = ("partition", "serving", "stream-refine")
 LEVEL_MODES = ("fused", "loop")
-VERTEX_MODES = ("columnar", "dict")
 SERVING_METHODS = ("2", "k")
 LOCAL_BACKEND = "local"
 
@@ -227,10 +226,12 @@ class ExecutionSpec:
     ``backend`` is ``"local"`` (the vectorized in-process optimizer) or any
     :data:`~repro.api.registry.BACKENDS` entry — ``"sim"`` (in-process
     workers), ``"mp"`` (one OS process per worker), ``"rpc"`` (workers over
-    TCP; see ``docs/running-distributed.md``).  ``workers``,
-    ``vertex_mode``, and ``combiner`` apply to engine backends only;
-    ``combiner = true`` enables the protocol's message combiner (net-delta
-    combining for SHP — fewer bytes, bitwise-identical result).
+    TCP; see ``docs/running-distributed.md``).  ``workers`` and
+    ``combiner`` apply to engine backends only; ``combiner = true``
+    enables the protocol's message combiner (net-delta combining for SHP —
+    fewer bytes, bitwise-identical result).  ``vertex_mode`` is kept so
+    older job files still load; it accepts only ``"columnar"``, the one
+    way the engine holds vertex state.
     ``refine_workers`` instead parallelizes the *local* shp-2 optimizer's
     level-fused refinement across shared-memory gain workers; the result
     stays bitwise-identical to serial per seed (the deterministic-merge
@@ -261,7 +262,11 @@ class ExecutionSpec:
                 f"{', '.join(map(repr, BACKENDS.names()))}; got {self.backend!r}"
             )
         _check_type(self.workers, int, f"{p}.workers")
-        _check_choice(self.vertex_mode, VERTEX_MODES, f"{p}.vertex_mode")
+        if self.vertex_mode != "columnar":
+            raise SpecError(
+                f"{p}.vertex_mode: must be 'columnar' (the per-vertex 'dict' "
+                f"mode was removed); got {self.vertex_mode!r}"
+            )
         if self.workers < 1:
             raise SpecError(f"{p}.workers: must be at least 1, got {self.workers!r}")
         _check_type(self.refine_workers, int, f"{p}.refine_workers")

@@ -40,7 +40,6 @@ from .api import (
     SpecError,
 )
 from .api.registry import BACKENDS, OBJECTIVES, PARTITIONERS
-from .api.spec import VERTEX_MODES
 from .bench import format_table
 from .hypergraph import (
     DATASETS,
@@ -126,7 +125,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             refine_workers=args.refine_workers,
-            vertex_mode=args.vertex_mode,
             combiner=args.combiner,
             hosts=args.hosts or None,
         ),
@@ -407,13 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stay bitwise-identical to serial per seed (default: 1)",
     )
     p.add_argument(
-        "--vertex-mode", default="columnar", choices=list(VERTEX_MODES),
-        help="vertex execution for engine backends: 'columnar' runs each "
-        "protocol phase as vectorized kernels over typed message batches "
-        "(default), 'dict' is the per-vertex reference path; both are "
-        "bitwise-identical per seed",
-    )
-    p.add_argument(
         "--combiner", action="store_true",
         help="combine messages per destination before transmission "
         "(engine backends; fewer wire bytes, bitwise-identical result)",
@@ -538,8 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/running-distributed.md)",
     )
     w.add_argument(
-        "--host", default="0.0.0.0",
-        help="interface to bind (default: all interfaces)",
+        "--host", default="127.0.0.1",
+        help="interface to bind (default: 127.0.0.1, this host only; pass "
+        "an explicit address such as 0.0.0.0 to serve masters on other "
+        "hosts — frames are unauthenticated pickles, so only on a trusted "
+        "network)",
     )
     w.add_argument(
         "--port", type=int, default=0,

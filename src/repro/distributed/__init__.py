@@ -6,12 +6,13 @@ runs one OS process per worker over shared-memory graph arrays, and
 :class:`RpcBackend` coordinates worker processes over TCP (auto-spawned
 localhost peers or remote ``repro rpc-worker`` hosts) with checkpointed
 superstep retry on worker failure.  All produce bit-identical vertex
-states for a given seed — see ``docs/architecture.md``.
+columns for a given seed — see ``docs/architecture.md``.
 """
 
 from .backend import (
     Backend,
     SimulatedBackend,
+    UnknownVertexError,
     backend_names,
     resolve_backend,
     resolve_combiner,
@@ -23,12 +24,10 @@ from .engine import (
     GiraphEngine,
     JobResult,
     MasterProgram,
-    VertexContext,
-    VertexProgram,
     counter_random,
     counter_random_array,
 )
-from .messages import Combiner, MessageBatch, MessageSchema, SumCombiner, sizeof_payload
+from .messages import Combiner, MessageBatch, MessageSchema, SumCombiner
 from .metrics import JobMetrics, SuperstepMetrics
 
 
@@ -62,10 +61,9 @@ __all__ = [
     "backend_names",
     "resolve_backend",
     "resolve_combiner",
+    "UnknownVertexError",
     "GiraphEngine",
     "JobResult",
-    "VertexContext",
-    "VertexProgram",
     "BatchContext",
     "BatchVertexProgram",
     "MasterProgram",
@@ -73,7 +71,6 @@ __all__ = [
     "counter_random_array",
     "Combiner",
     "SumCombiner",
-    "sizeof_payload",
     "MessageSchema",
     "MessageBatch",
     "JobMetrics",

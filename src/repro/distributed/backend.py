@@ -12,10 +12,9 @@ The engine's superstep loop is backend-agnostic; a :class:`Backend` decides
   TCP (auto-spawned localhost processes or external ``repro rpc-worker``
   hosts), length-prefixed pickled frames, superstep retry on worker death.
 
-All backends call :func:`execute_worker_superstep` (dict path) or
-:func:`execute_worker_superstep_batch` (columnar path) for the per-worker
+All backends call :func:`execute_worker_superstep_batch` for the per-worker
 work and :func:`assemble_superstep_metrics` at the barrier, so the numbers
-they report — and, given a seed, the vertex states they produce — are
+they report — and, given a seed, the vertex columns they produce — are
 identical.  The layer map and the parity invariants backends must uphold
 are documented in ``docs/architecture.md``.
 """
@@ -29,55 +28,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api.registry import BACKENDS
-from .messages import Combiner, sizeof_payload
+from .messages import Combiner
 from .metrics import JobMetrics, SuperstepMetrics
 
 __all__ = [
     "Backend",
     "SimulatedBackend",
+    "UnknownVertexError",
     "WorkerStepResult",
-    "execute_worker_superstep",
     "execute_worker_superstep_batch",
     "assemble_superstep_metrics",
-    "is_batch_program",
     "resolve_backend",
     "resolve_combiner",
     "backend_names",
 ]
 
 
-def is_batch_program(program) -> bool:
-    """True when ``program`` implements the columnar BatchVertexProgram API."""
-    return hasattr(program, "compute_partition")
+class UnknownVertexError(ValueError):
+    """A message was addressed to a vertex id the engine never loaded."""
 
 
-def resolve_combiner(program, combiner) -> Combiner | None:
-    """Validate a combiner against the program's execution path.
-
-    One resolution point for both vertex modes: dict-path programs accept
-    any :class:`~repro.distributed.messages.Combiner`; batch (columnar)
-    programs additionally require the combiner to implement
-    ``combine_batch`` — the vectorized per-destination reduction applied to
-    :class:`~repro.distributed.messages.MessageBatch` columns before
-    routing.  Returns the combiner (or ``None``), raising only for the
-    genuinely unsupported case: a dict-only custom combiner paired with a
-    batch program.
-    """
-    if combiner is None:
-        return None
-    if not isinstance(combiner, Combiner):
-        raise TypeError(
-            f"combiner must be a repro.distributed.Combiner, "
-            f"got {type(combiner).__name__}"
-        )
-    if is_batch_program(program) and not hasattr(combiner, "combine_batch"):
-        raise ValueError(
-            f"combiner {type(combiner).__name__} only implements the dict-path "
-            "combine(); batch vertex programs need a batch-capable combiner — "
-            "implement combine_batch(batch) -> list[MessageBatch] "
-            "(see SumCombiner) or run with vertex_mode='dict'"
-        )
-    return combiner
+def resolve_combiner(combiner) -> Combiner | None:
+    """Validate a job's combiner: ``None`` or a :class:`Combiner` instance."""
+    if combiner is None or isinstance(combiner, Combiner):
+        return combiner
+    raise TypeError(
+        f"combiner must be a repro.distributed.Combiner, "
+        f"got {type(combiner).__name__}"
+    )
 
 
 @dataclass
@@ -85,8 +63,8 @@ class WorkerStepResult:
     """Everything one worker reports at the superstep barrier."""
 
     worker_id: int
-    #: outbound message batches, keyed by destination worker id; each batch
-    #: is a list of ``(dst_vertex, payload)`` in send order.
+    #: outbound :class:`~repro.distributed.messages.MessageBatch` lists,
+    #: keyed by destination worker id, in send order.
     batches: dict[int, list] = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     ops: float = 0.0
@@ -97,21 +75,35 @@ class WorkerStepResult:
     #: bytes sent to each *remote* worker (own column is zero).
     remote_row: np.ndarray = field(default_factory=lambda: np.zeros(0))
     state_bytes: int = 0
-    #: peak transient kernel-buffer bytes this superstep (columnar kernels
-    #: report their scratch arrays via ``ctx.charge_transient``).
+    #: peak transient kernel-buffer bytes this superstep (kernels report
+    #: their scratch arrays via ``ctx.charge_transient``).
     transient_bytes: int = 0
 
 
-def execute_worker_superstep(
+def _check_destinations(batch, num_vertices: int) -> None:
+    """Reject destinations outside ``0..num_vertices-1`` before routing
+    (a negative index would otherwise wrap to the last vertices)."""
+    if not len(batch):
+        return
+    lo, hi = int(batch.dst.min()), int(batch.dst.max())
+    if lo < 0 or hi >= num_vertices:
+        bad = lo if lo < 0 else hi
+        raise UnknownVertexError(
+            f"{batch.schema.name!r} message addressed to vertex {bad}, but the "
+            f"engine loaded vertex ids 0..{num_vertices - 1}"
+        )
+
+
+def execute_worker_superstep_batch(
     worker_id: int,
-    vids: list[int],
-    states: dict[int, dict],
+    vids: np.ndarray,
+    partition,
     program,
     superstep: int,
     broadcasts: dict,
-    mailboxes: dict[int, list],
+    inbox: list,
     seed: int,
-    worker_of,
+    worker_of: np.ndarray,
     num_workers: int,
     combiner: Combiner | None = None,
 ) -> WorkerStepResult:
@@ -119,96 +111,15 @@ def execute_worker_superstep(
 
     This is the single code path executed by every backend (in-process or
     inside a worker OS process), which is what guarantees cross-backend
-    parity.  ``worker_of`` only needs ``__getitem__`` (dict or array).
-    """
-    from .engine import VertexContext
-
-    ctx = VertexContext(
-        superstep=superstep,
-        worker_id=worker_id,
-        broadcasts=broadcasts or {},
-        seed=seed,
-    )
-    schema = None
-    if hasattr(program, "message_schema"):
-        schema = program.message_schema(superstep)
-    active = 0
-    for vid in vids:
-        msgs = mailboxes.get(vid)
-        ctx._begin_vertex(vid)
-        ops_before = ctx._ops
-        program.compute(ctx, vid, states[vid], msgs or [])
-        # Active = the vertex received messages or did observable work
-        # (sent, aggregated, charged compute).  Counting mailboxes alone
-        # undercounts: superstep 0 has no inbound traffic yet every vertex
-        # computes, and propose/move phases work without receiving.
-        # Mutation-only computes (state writes with no ctx calls) should
-        # ctx.charge(1) to be counted — inspecting dict state per vertex
-        # would put a deep-compare in the hot loop.
-        if msgs or ctx._ops > ops_before:
-            active += 1
-
-    outbox = ctx._outbox
-    if combiner is not None:
-        grouped: dict[int, list] = {}
-        for dst, payload in outbox:
-            grouped.setdefault(dst, []).append(payload)
-        outbox = [
-            (dst, payload)
-            for dst, payloads in grouped.items()
-            for payload in combiner.combine(payloads)
-        ]
-
-    result = WorkerStepResult(
-        worker_id=worker_id,
-        aggregates=ctx._aggregates,
-        ops=float(ctx._ops),
-        active=active,
-        remote_row=np.zeros(num_workers, dtype=np.float64),
-    )
-    for dst, payload in outbox:
-        dst_worker = int(worker_of[dst])
-        if combiner is not None:
-            size = combiner.measure(payload, schema)
-        elif schema is not None:
-            size = schema.measure(payload)
-        else:
-            size = sizeof_payload(payload)
-        result.messages_sent += 1
-        if dst_worker == worker_id:
-            result.messages_local += 1
-            result.bytes_local += size
-        else:
-            result.remote_row[dst_worker] += size
-        result.batches.setdefault(dst_worker, []).append((dst, payload))
-    result.state_bytes = sum(_sizeof_state(states[vid]) for vid in vids)
-    return result
-
-
-def execute_worker_superstep_batch(
-    worker_id: int,
-    vids: list[int],
-    partition,
-    program,
-    superstep: int,
-    broadcasts: dict,
-    inbox: list,
-    seed: int,
-    worker_of_array: np.ndarray,
-    num_workers: int,
-    combiner: Combiner | None = None,
-) -> WorkerStepResult:
-    """Columnar twin of :func:`execute_worker_superstep`.
-
-    Runs a :class:`~repro.distributed.engine.BatchVertexProgram` kernel over
-    the worker's whole partition, then meters and routes its typed message
-    batches with vectorized arithmetic: destination workers come from one
-    dense placement lookup, byte counts from dtype-exact schema sizes, and
-    batches split per destination worker without per-message Python work.
-    When a batch-capable ``combiner`` is set, each outbound batch is
-    segment-reduced per destination (``combiner.combine_batch``) before
-    metering and routing, so the meters report the combined traffic that
-    actually travels.  ``result.batches`` maps worker id -> list of
+    parity.  It runs a :class:`~repro.distributed.engine.BatchVertexProgram`
+    kernel over the worker's whole partition, then meters and routes its
+    typed message batches with vectorized arithmetic: destination workers
+    come from one dense placement lookup, byte counts from dtype-exact
+    schema sizes, and batches split per destination worker without
+    per-message Python work.  When a ``combiner`` is set, each outbound
+    batch is segment-reduced per destination (``combiner.combine_batch``)
+    before metering and routing, so the meters report the combined traffic
+    that actually travels.  ``result.batches`` maps worker id -> list of
     MessageBatch.
     """
     from .engine import BatchContext
@@ -222,6 +133,8 @@ def execute_worker_superstep_batch(
     program.compute_partition(ctx, partition, inbox)
 
     outbox = ctx._outbox
+    for batch in outbox:
+        _check_destinations(batch, worker_of.size)
     if combiner is not None:
         combined: list = []
         for batch in outbox:
@@ -231,13 +144,13 @@ def execute_worker_superstep_batch(
     result = WorkerStepResult(
         worker_id=worker_id,
         aggregates=ctx._aggregates,
-        # One op per local vertex mirrors VertexContext._begin_vertex.
+        # Plus one op per local vertex: every vertex takes part in the step.
         ops=float(ctx._ops) + float(len(vids)),
         active=ctx._active,
         remote_row=np.zeros(num_workers, dtype=np.float64),
     )
     for batch in outbox:
-        dst_workers = worker_of_array[batch.dst]
+        dst_workers = worker_of[batch.dst]
         sizes = batch.per_message_nbytes()
         local = dst_workers == worker_id
         result.messages_sent += len(batch)
@@ -331,11 +244,11 @@ class Backend(ABC):
     touching the logical meters.  A backend instance drives one run at a
     time.
 
-    Backend contract: after :meth:`run`, the per-vertex state dicts the
-    caller passed to ``engine.load()`` hold the final values (mutated in
-    place), bitwise-identical on every backend for a given seed — see
-    ``docs/architecture.md`` ("bitwise-parity invariants") for what that
-    requires of a new backend.
+    Backend contract: :meth:`run` returns the final per-vertex columns in
+    vertex-id order, bitwise-identical on every backend for a given seed —
+    see ``docs/architecture.md`` ("bitwise-parity invariants") for what
+    that requires of a new backend.  The columns the caller passed to
+    ``engine.load()`` are never mutated.
     """
 
     name: str = "abstract"
@@ -344,7 +257,7 @@ class Backend(ABC):
         """Execute the superstep loop for a loaded engine."""
         from .engine import JobResult
 
-        combiner = resolve_combiner(program, combiner)
+        combiner = resolve_combiner(combiner)
         num_workers = engine.cluster.num_workers
         metrics = JobMetrics(cluster=engine.cluster)
         start = time.perf_counter()
@@ -365,13 +278,8 @@ class Backend(ABC):
                 aggregates = merge_aggregates(
                     {}, [res.aggregates for res in results]
                 )
-                phase = (
-                    program.phase_name(superstep)
-                    if hasattr(program, "phase_name")
-                    else ""
-                )
                 step = assemble_superstep_metrics(
-                    results, superstep, phase, num_workers
+                    results, superstep, program.phase_name(superstep), num_workers
                 )
                 self._annotate_step(step)
                 metrics.add(step)
@@ -399,9 +307,10 @@ class Backend(ABC):
         so they are delivered at ``superstep + 1``; returns barrier reports."""
 
     @abstractmethod
-    def _finish(self) -> dict[int, dict]:
-        """Fold final vertex states back into the engine's dicts (in place)
-        and return them.  Called only when the loop completes cleanly."""
+    def _finish(self) -> dict[str, np.ndarray]:
+        """Collect every worker's final columns and return them in vertex-id
+        order (``engine.gather_columns``).  Called only when the loop
+        completes cleanly."""
 
     def _close(self) -> None:
         """Release run resources (always called, including on errors)."""
@@ -423,71 +332,36 @@ class SimulatedBackend(Backend):
         self._engine = None
         self._program = None
         self._combiner = None
-        self._batch = False
-        self._mailboxes: dict[int, list] = {}
         self._partitions: list = []
-        self._batch_inboxes: list[list] = []
+        self._inboxes: list[list] = []
 
     def _open(self, engine, program, combiner) -> None:
         self._engine = engine
         self._program = program
         self._combiner = combiner
-        self._mailboxes = {}
-        self._batch = is_batch_program(program)
-        if self._batch:
-            if engine._worker_of_array is None:
-                raise ValueError(
-                    "batch vertex programs require contiguous vertex ids 0..n-1"
-                )
-            self._partitions = [
-                program.create_partition(
-                    worker_id,
-                    engine._worker_vertices[worker_id],
-                    engine._states,
-                    engine._graph,
-                )
-                for worker_id in range(engine.cluster.num_workers)
-            ]
-            self._batch_inboxes = [[] for _ in range(engine.cluster.num_workers)]
-        elif engine._graph is not None and hasattr(program, "bind_graph"):
-            program.bind_graph(engine._graph)
+        self._partitions = [
+            program.create_partition(
+                worker_id,
+                engine._worker_vertices[worker_id],
+                engine.worker_columns(worker_id),
+                engine._graph,
+            )
+            for worker_id in range(engine.cluster.num_workers)
+        ]
+        self._inboxes = [[] for _ in range(engine.cluster.num_workers)]
 
     def _execute_superstep(self, superstep: int, broadcasts: dict) -> list[WorkerStepResult]:
         engine = self._engine
         num_workers = engine.cluster.num_workers
-        if self._batch:
-            results = [
-                execute_worker_superstep_batch(
-                    worker_id,
-                    engine._worker_vertices[worker_id],
-                    self._partitions[worker_id],
-                    self._program,
-                    superstep,
-                    broadcasts,
-                    self._batch_inboxes[worker_id],
-                    engine.seed,
-                    engine._worker_of_array,
-                    num_workers,
-                    self._combiner,
-                )
-                for worker_id in range(num_workers)
-            ]
-            inboxes: list[list] = [[] for _ in range(num_workers)]
-            for res in results:
-                for dst_worker, batches in res.batches.items():
-                    inboxes[dst_worker].extend(batches)
-                res.batches = {}
-            self._batch_inboxes = inboxes
-            return results
         results = [
-            execute_worker_superstep(
+            execute_worker_superstep_batch(
                 worker_id,
                 engine._worker_vertices[worker_id],
-                engine._states,
+                self._partitions[worker_id],
                 self._program,
                 superstep,
                 broadcasts,
-                self._mailboxes,
+                self._inboxes[worker_id],
                 engine.seed,
                 engine._worker_of,
                 num_workers,
@@ -495,33 +369,23 @@ class SimulatedBackend(Backend):
             )
             for worker_id in range(num_workers)
         ]
-        mailboxes: dict[int, list] = {}
+        inboxes: list[list] = [[] for _ in range(num_workers)]
         for res in results:
-            for batch in res.batches.values():
-                for dst, payload in batch:
-                    mailboxes.setdefault(dst, []).append(payload)
-        self._mailboxes = mailboxes
+            for dst_worker, batches in res.batches.items():
+                inboxes[dst_worker].extend(batches)
+            res.batches = {}
+        self._inboxes = inboxes
         return results
 
-    def _finish(self) -> dict[int, dict]:
-        if self._batch:
-            for partition in self._partitions:
-                self._program.collect_states(partition, self._engine._states)
-        return self._engine._states
+    def _finish(self) -> dict[str, np.ndarray]:
+        return self._engine.gather_columns(
+            [self._program.collect_states(partition) for partition in self._partitions]
+        )
 
     def _close(self) -> None:
         self._engine = self._program = self._combiner = None
-        self._batch = False
-        self._mailboxes = {}
         self._partitions = []
-        self._batch_inboxes = []
-
-
-def _sizeof_state(state: dict) -> int:
-    total = 64  # object overhead
-    for value in state.values():
-        total += sizeof_payload(value)  # reprolint: disable=REP002 -- integer byte sizes: int sums are order-exact
-    return total
+        self._inboxes = []
 
 
 @BACKENDS.register("sim")

@@ -6,9 +6,9 @@ Layout (mirrors a small Giraph deployment on a single machine):
   aggregators, routes message batches between workers and assembles the
   per-superstep metrics — exactly the responsibilities Giraph gives its
   master/coordinator.
-* Each **worker process** owns its vertex partition (states are shipped
-  once at startup and never shared), executes
-  :func:`repro.distributed.backend.execute_worker_superstep` every
+* Each **worker process** owns its vertex partition (built once at startup
+  from its slice of the initial columns and never shared), executes
+  :func:`repro.distributed.backend.execute_worker_superstep_batch` every
   superstep, and reports outbound batches + aggregates at the barrier.
 * The immutable graph (bipartite CSR arrays) and the vertex-placement table
   are published once through the shared-memory pool
@@ -20,7 +20,7 @@ Layout (mirrors a small Giraph deployment on a single machine):
 
 Determinism: placement comes from the engine seed and ``ctx.random()`` is
 counter-based (see :mod:`repro.distributed.engine`), so a job produces
-bit-identical vertex states on this backend and on the simulator.
+bit-identical vertex columns on this backend and on the simulator.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ import traceback
 
 import numpy as np
 
-from .backend import (
-    Backend,
-    execute_worker_superstep,
-    execute_worker_superstep_batch,
-    is_batch_program,
-)
+from .backend import Backend, execute_worker_superstep_batch
 from .shared_pool import SharedArrayPack, SharedArrayPool
 
 __all__ = ["MultiprocessBackend", "SharedArrayPack", "share_graph", "attach_graph"]
@@ -104,22 +99,13 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     place_pack = None
     try:
         program = init["program"]
-        states = init["states"]
         vids = init["vids"]
         seed = init["seed"]
         num_workers = init["num_workers"]
         combiner = init["combiner"]
-        batch_mode = init["batch"]
 
         place_pack = SharedArrayPack.attach(init["placement_handle"])
-        place = place_pack.arrays()
-        # The master publishes ids sorted ascending, so this equality test
-        # is exactly the 0..n-1 contiguity check the engine performs.
-        ids, assignment = place["ids"], place["placement"]
-        if ids.size and np.array_equal(ids, np.arange(ids.size, dtype=ids.dtype)):
-            worker_of = assignment  # contiguous ids: direct array lookup
-        else:
-            worker_of = dict(zip(ids.tolist(), assignment.tolist()))
+        worker_of = place_pack.arrays()["placement"]
 
         graph = None
         if init.get("graph_store") is not None:
@@ -131,77 +117,46 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             graph = open_store_view(init["graph_store"])
         elif init["graph_handle"] is not None:
             graph, graph_pack = attach_graph(init["graph_handle"], init["graph_meta"])
-        if graph is not None and not batch_mode and hasattr(program, "bind_graph"):
-            program.bind_graph(graph)
 
-        partition = None
-        if batch_mode:
-            # Struct-of-arrays partition built locally from the shipped
-            # dict states + the shared (zero-copy) graph arrays.
-            partition = program.create_partition(worker_id, vids, states, graph)
+        # Struct-of-arrays partition built locally from the worker's column
+        # slice + the shared (zero-copy) graph arrays.
+        partition = program.create_partition(worker_id, vids, init["columns"], graph)
 
         while True:
             msg = conn.recv()
             kind = msg[0]
             if kind == "step":
                 _, superstep, broadcasts, inbox_blobs = msg
-                if batch_mode:
-                    inbox: list = []
-                    for blob in inbox_blobs:
-                        inbox.extend(pickle.loads(blob))
-                    result = execute_worker_superstep_batch(
-                        worker_id,
-                        vids,
-                        partition,
-                        program,
-                        superstep,
-                        broadcasts,
-                        inbox,
-                        seed,
-                        worker_of,
-                        num_workers,
-                        combiner,
+                inbox: list = []
+                for blob in inbox_blobs:
+                    inbox.extend(pickle.loads(blob))
+                result = execute_worker_superstep_batch(
+                    worker_id,
+                    vids,
+                    partition,
+                    program,
+                    superstep,
+                    broadcasts,
+                    inbox,
+                    seed,
+                    worker_of,
+                    num_workers,
+                    combiner,
+                )
+                # Compact each outbound batch to the entry rows its
+                # messages reference, then pickle once per hop — columns
+                # travel as a few large buffers, never as per-message
+                # tuples; the master routes the blobs without looking inside.
+                blobs = {
+                    dw: pickle.dumps(
+                        [b.compact() for b in batches], protocol=_PICKLE_PROTO
                     )
-                    # Compact each outbound batch to the entry rows its
-                    # messages reference, then pickle once per hop —
-                    # columns travel as a few large buffers, never as
-                    # per-message tuples.
-                    blobs = {
-                        dw: pickle.dumps(
-                            [b.compact() for b in batches], protocol=_PICKLE_PROTO
-                        )
-                        for dw, batches in result.batches.items()
-                    }
-                else:
-                    mailboxes: dict[int, list] = {}
-                    for blob in inbox_blobs:
-                        for dst, payload in pickle.loads(blob):
-                            mailboxes.setdefault(dst, []).append(payload)
-                    result = execute_worker_superstep(
-                        worker_id,
-                        vids,
-                        states,
-                        program,
-                        superstep,
-                        broadcasts,
-                        mailboxes,
-                        seed,
-                        worker_of,
-                        num_workers,
-                        combiner,
-                    )
-                    # Serialize each outbound batch exactly once; the master
-                    # routes the blobs without looking inside.
-                    blobs = {
-                        dw: pickle.dumps(batch, protocol=_PICKLE_PROTO)
-                        for dw, batch in result.batches.items()
-                    }
+                    for dw, batches in result.batches.items()
+                }
                 result.batches = {}
                 conn.send(("ok", result, blobs))
             elif kind == "collect":
-                if batch_mode:
-                    program.collect_states(partition, states)
-                conn.send(("states", states))
+                conn.send(("states", program.collect_states(partition)))
             elif kind == "exit":
                 break
     except EOFError:  # master went away; nothing to report to
@@ -272,17 +227,8 @@ class MultiprocessBackend(Backend):
         ctx = mp.get_context(self.mp_context)
         self._engine = engine
         self._num_workers = num_workers
-        batch_mode = is_batch_program(program)
-        if batch_mode and engine._worker_of_array is None:
-            raise ValueError(
-                "batch vertex programs require contiguous vertex ids 0..n-1"
-            )
-
-        ids = np.fromiter(engine._worker_of.keys(), dtype=np.int64)
-        assignment = np.fromiter(engine._worker_of.values(), dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
         placement_handle = self._pool.publish(
-            "placement", {"ids": ids[order], "placement": assignment[order]}
+            "placement", {"placement": engine._worker_of}
         )
 
         graph_handle = None
@@ -304,15 +250,13 @@ class MultiprocessBackend(Backend):
         self._inboxes: list[list] = [[] for _ in range(num_workers)]
         for worker_id in range(num_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            vids = engine._worker_vertices[worker_id]
             init = {
                 "program": program,
-                "states": {vid: engine._states[vid] for vid in vids},
-                "vids": vids,
+                "vids": engine._worker_vertices[worker_id],
+                "columns": engine.worker_columns(worker_id),
                 "seed": engine.seed,
                 "num_workers": num_workers,
                 "combiner": combiner,
-                "batch": batch_mode,
                 "placement_handle": placement_handle,
                 "graph_handle": graph_handle,
                 "graph_meta": graph_meta,
@@ -344,23 +288,18 @@ class MultiprocessBackend(Backend):
                 self._inboxes[dst_worker].append(blob)
         return results
 
-    def _finish(self) -> dict[int, dict]:
-        # Fold worker-final states back into the caller's own dicts so the
-        # in-place mutation contract matches the simulator exactly.
-        engine_states = self._engine._states
+    def _finish(self) -> dict[str, np.ndarray]:
         for conn in self._conns:
             conn.send(("collect",))
+        parts = []
         for worker_id, conn in enumerate(self._conns):
             _, collected = self._recv(conn, self._workers[worker_id], worker_id)
-            for vid, state in collected.items():
-                original = engine_states[vid]
-                original.clear()
-                original.update(state)
+            parts.append(collected)
         for conn in self._conns:
             conn.send(("exit",))
         for proc in self._workers:
             proc.join(timeout=30)
-        return engine_states
+        return self._engine.gather_columns(parts)
 
     def _close(self) -> None:
         for proc in self._workers:

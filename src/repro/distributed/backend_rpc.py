@@ -20,8 +20,8 @@ backend's split of responsibilities:
   ``round_trip_seconds``).
 
 Workers execute the very same :func:`~repro.distributed.backend.
-execute_worker_superstep` / ``execute_worker_superstep_batch`` functions as
-every other backend, keyed by *logical* worker id — so for a given seed the
+execute_worker_superstep_batch` function as every other backend, keyed by
+*logical* worker id — so for a given seed the
 assignments and all logical meters are bitwise-identical to ``sim``/``mp``
 regardless of how logical workers map onto peers, before or after a
 failover.
@@ -29,7 +29,7 @@ failover.
 Fault tolerance
 ---------------
 Every step reply carries a pickled checkpoint of each logical worker's
-post-superstep state (vids, states, program instance, columnar partition).
+post-superstep state (vids, program instance, columnar partition).
 The master retains the latest committed checkpoint per logical worker plus
 the current superstep's inbound blobs; when a peer dies mid-superstep
 (connection failure or barrier timeout) its logical workers are *adopted*
@@ -42,7 +42,6 @@ The run fails only when every peer is gone.  See
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import socket
 import time
@@ -50,24 +49,13 @@ import traceback
 
 import numpy as np
 
-from .backend import (
-    Backend,
-    execute_worker_superstep,
-    execute_worker_superstep_batch,
-    is_batch_program,
-)
+from .backend import Backend, execute_worker_superstep_batch
+from .backend_mp import _default_context
 from .wire import WireError, recv_obj, send_obj
 
 __all__ = ["RpcBackend", "serve_worker"]
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
-
-
-def _default_context() -> str:
-    override = os.environ.get("REPRO_MP_CONTEXT")
-    if override:
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -76,20 +64,22 @@ def _default_context() -> str:
 class _LogicalWorker:
     """One logical worker's state living inside a peer process."""
 
-    __slots__ = ("vids", "states", "program", "partition")
+    __slots__ = ("vids", "program", "partition")
 
-    def __init__(self, vids, states, program, partition):
+    def __init__(self, vids, program, partition):
         self.vids = vids
-        self.states = states
         self.program = program
         self.partition = partition
 
     def checkpoint(self) -> bytes:
         """Post-superstep snapshot the master can re-home onto any peer."""
-        return pickle.dumps(
-            (self.vids, self.states, self.program, self.partition),
-            protocol=_PICKLE_PROTO,
-        )
+        return _checkpoint(self.vids, self.program, self.partition, None)
+
+
+def _checkpoint(vids, program, partition, columns) -> bytes:
+    """Pickle a logical worker: its built ``partition`` or, before the
+    first barrier, the initial ``columns`` to build it from."""
+    return pickle.dumps((vids, program, partition, columns), protocol=_PICKLE_PROTO)
 
 
 class _WorkerHost:
@@ -98,7 +88,6 @@ class _WorkerHost:
     def __init__(self):
         self.seed = 0
         self.num_workers = 0
-        self.batch = False
         self.combiner = None
         self.graph = None
         self.worker_of = None
@@ -108,33 +97,25 @@ class _WorkerHost:
     def init(self, init: dict) -> None:
         self.seed = init["seed"]
         self.num_workers = init["num_workers"]
-        self.batch = init["batch"]
         self.combiner = init["combiner"]
         self.graph = init["graph"]
-        ids, assignment = init["placement"]
-        if ids.size and np.array_equal(ids, np.arange(ids.size, dtype=ids.dtype)):
-            self.worker_of = assignment  # contiguous ids: direct array lookup
-        else:
-            self.worker_of = dict(zip(ids.tolist(), assignment.tolist()))
+        self.worker_of = init["placement"]
         self.workers = {}
-        for wid, (vids, states) in init["workers"].items():
+        for wid, (vids, columns) in init["workers"].items():
             # One program instance per *logical* worker (not per peer): any
             # worker-local program state stays keyed to the logical worker,
             # exactly as under the one-process-per-worker mp backend.
             program = pickle.loads(init["program_bytes"])
-            self.workers[wid] = self._build(wid, vids, states, program)
+            self.workers[wid] = self._build(wid, vids, program, None, columns)
 
-    def _build(self, wid, vids, states, program, partition=None) -> _LogicalWorker:
-        if not self.batch and self.graph is not None and hasattr(program, "bind_graph"):
-            program.bind_graph(self.graph)
-        if self.batch and partition is None:
-            partition = program.create_partition(wid, vids, states, self.graph)
-        return _LogicalWorker(vids, states, program, partition)
+    def _build(self, wid, vids, program, partition, columns) -> _LogicalWorker:
+        if partition is None:
+            partition = program.create_partition(wid, vids, columns, self.graph)
+        return _LogicalWorker(vids, program, partition)
 
     def adopt(self, wid: int, checkpoint: bytes) -> None:
         """Restore an orphaned logical worker from a master checkpoint."""
-        vids, states, program, partition = pickle.loads(checkpoint)
-        self.workers[wid] = self._build(wid, vids, states, program, partition)
+        self.workers[wid] = self._build(wid, *pickle.loads(checkpoint))
 
     # ------------------------------------------------------------------
     def step(self, superstep: int, broadcasts: dict, inboxes: dict) -> dict:
@@ -142,52 +123,28 @@ class _WorkerHost:
         out = {}
         for wid in sorted(inboxes):
             worker = self.workers[wid]
-            blobs_in = inboxes[wid]
-            if self.batch:
-                inbox: list = []
-                for blob in blobs_in:
-                    inbox.extend(pickle.loads(blob))
-                result = execute_worker_superstep_batch(
-                    wid,
-                    worker.vids,
-                    worker.partition,
-                    worker.program,
-                    superstep,
-                    broadcasts,
-                    inbox,
-                    self.seed,
-                    self.worker_of,
-                    self.num_workers,
-                    self.combiner,
+            inbox: list = []
+            for blob in inboxes[wid]:
+                inbox.extend(pickle.loads(blob))
+            result = execute_worker_superstep_batch(
+                wid,
+                worker.vids,
+                worker.partition,
+                worker.program,
+                superstep,
+                broadcasts,
+                inbox,
+                self.seed,
+                self.worker_of,
+                self.num_workers,
+                self.combiner,
+            )
+            blobs_out = {
+                dw: pickle.dumps(
+                    [b.compact() for b in batches], protocol=_PICKLE_PROTO
                 )
-                blobs_out = {
-                    dw: pickle.dumps(
-                        [b.compact() for b in batches], protocol=_PICKLE_PROTO
-                    )
-                    for dw, batches in result.batches.items()
-                }
-            else:
-                mailboxes: dict[int, list] = {}
-                for blob in blobs_in:
-                    for dst, payload in pickle.loads(blob):
-                        mailboxes.setdefault(dst, []).append(payload)
-                result = execute_worker_superstep(
-                    wid,
-                    worker.vids,
-                    worker.states,
-                    worker.program,
-                    superstep,
-                    broadcasts,
-                    mailboxes,
-                    self.seed,
-                    self.worker_of,
-                    self.num_workers,
-                    self.combiner,
-                )
-                blobs_out = {
-                    dw: pickle.dumps(batch, protocol=_PICKLE_PROTO)
-                    for dw, batch in result.batches.items()
-                }
+                for dw, batches in result.batches.items()
+            }
             result.batches = {}
             out[wid] = (result, blobs_out, worker.checkpoint())
         return out
@@ -347,39 +304,23 @@ class RpcBackend(Backend):
         num_workers = engine.cluster.num_workers
         self._engine = engine
         self._num_workers = num_workers
-        batch_mode = is_batch_program(program)
-        if batch_mode and engine._worker_of_array is None:
-            raise ValueError(
-                "batch vertex programs require contiguous vertex ids 0..n-1"
-            )
 
         self._connect_peers(num_workers)
         num_peers = len(self._peers)
         self._wid_peer = [wid % num_peers for wid in range(num_workers)]
         self._inboxes = [[] for _ in range(num_workers)]
 
-        ids = np.fromiter(engine._worker_of.keys(), dtype=np.int64)
-        assignment = np.fromiter(engine._worker_of.values(), dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        placement = (ids[order], assignment[order])
-
         program_bytes = pickle.dumps(program, protocol=_PICKLE_PROTO)
         partitions = {
-            wid: (
-                engine._worker_vertices[wid],
-                {vid: engine._states[vid] for vid in engine._worker_vertices[wid]},
-            )
+            wid: (engine._worker_vertices[wid], engine.worker_columns(wid))
             for wid in range(num_workers)
         }
         # The initial checkpoints let any peer adopt a logical worker that
-        # dies before its first barrier: pristine states, fresh program,
-        # partition rebuilt by the adopter.
+        # dies before its first barrier: initial columns, fresh program,
+        # partition built by the adopter.
         self._checkpoints = [
-            pickle.dumps(
-                (partitions[wid][0], partitions[wid][1], program, None),
-                protocol=_PICKLE_PROTO,
-            )
-            for wid in range(num_workers)
+            _checkpoint(vids, program, None, columns)
+            for vids, columns in partitions.values()
         ]
 
         for peer_idx, peer in enumerate(self._peers):
@@ -387,10 +328,9 @@ class RpcBackend(Backend):
                 "program_bytes": program_bytes,
                 "seed": engine.seed,
                 "num_workers": num_workers,
-                "batch": batch_mode,
                 "combiner": combiner,
                 "graph": engine._graph,
-                "placement": placement,
+                "placement": engine._worker_of,
                 "workers": {
                     wid: partitions[wid]
                     for wid in range(num_workers)
@@ -566,21 +506,20 @@ class RpcBackend(Backend):
             self._mark_dead(peer_idx)
 
     # ------------------------------------------------------------------
-    def _finish(self) -> dict[int, dict]:
-        # Final states come from the committed checkpoints: the master
+    def _finish(self) -> dict[str, np.ndarray]:
+        # Final columns come from the committed checkpoints: the master
         # already holds every logical worker's post-superstep snapshot, so
         # collection needs no further round-trips and survives any peer
         # dying after its last barrier.
-        engine_states = self._engine._states
+        parts = []
         for wid in range(self._num_workers):
-            vids, states, program, partition = pickle.loads(self._checkpoints[wid])
-            if partition is not None:
-                program.collect_states(partition, states)
-            for vid, state in states.items():
-                original = engine_states[vid]
-                original.clear()
-                original.update(state)
-        return engine_states
+            vids, program, partition, columns = pickle.loads(self._checkpoints[wid])
+            if partition is None:  # no superstep ran
+                partition = program.create_partition(
+                    wid, vids, columns, self._engine._graph
+                )
+            parts.append(program.collect_states(partition))
+        return self._engine.gather_columns(parts)
 
     def _annotate_step(self, step) -> None:
         step.wire_bytes = self._last_wire_bytes

@@ -1,8 +1,8 @@
 """A Giraph-like vertex-centric execution engine (Section 3.2 substrate).
 
-The engine executes *supersteps*: every active vertex runs a user-defined
-compute function over the messages delivered to it, optionally sending
-messages along edges and contributing to global aggregators; a
+The engine executes *supersteps*: every worker runs a user-defined kernel
+over its whole vertex partition and the messages delivered to it,
+optionally sending messages and contributing to global aggregators; a
 synchronization barrier ends the superstep and a master program runs
 between barriers (computing, e.g., SHP's move probabilities).  Vertices are
 distributed across workers by random placement, exactly as "Giraph
@@ -10,7 +10,11 @@ distributes vertices among machines in a Giraph cluster randomly"
 (Section 3.3) — so per-worker load and communication metering reflect what
 a real deployment would see.
 
-Execution is delegated to a pluggable :class:`~repro.distributed.Backend`:
+Vertex state lives in columns end to end: :meth:`GiraphEngine.load` takes
+a vertex count plus initial per-vertex columns, each worker builds its
+partition from its slice of those columns, and :class:`JobResult` returns
+the final columns.  Execution is delegated to a pluggable
+:class:`~repro.distributed.Backend`:
 
 * :class:`~repro.distributed.SimulatedBackend` (default) runs every worker
   in-process, sequentially, with full metering — fast to start, fully
@@ -19,13 +23,14 @@ Execution is delegated to a pluggable :class:`~repro.distributed.Backend`:
   worker, shares immutable graph arrays via ``multiprocessing.shared_memory``
   and exchanges serialized message batches through per-superstep channels —
   real parallel wall-clock on one machine.
+* :class:`~repro.distributed.RpcBackend` runs workers over TCP.
 
-Both backends run the *same* per-worker superstep code
-(:func:`repro.distributed.backend.execute_worker_superstep`) and are
-bit-identical for a given seed: vertex placement comes from the engine seed,
-and :meth:`VertexContext.random` draws are counter-based — a pure hash of
-``(seed, superstep, vertex, draw index)`` — so they do not depend on the
-order in which vertices happen to execute.
+Every backend runs the *same* per-worker superstep code
+(:func:`repro.distributed.backend.execute_worker_superstep_batch`) and is
+bit-identical for a given seed: vertex placement comes from the engine
+seed, and :meth:`BatchContext.random` draws are counter-based — a pure hash
+of ``(seed, superstep, vertex, draw index)`` — so they do not depend on
+which worker holds a vertex.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from .cluster import ClusterSpec
 from .metrics import JobMetrics
 
 __all__ = [
-    "VertexContext",
-    "VertexProgram",
     "BatchContext",
     "BatchVertexProgram",
     "MasterProgram",
@@ -51,54 +54,32 @@ __all__ = [
 ]
 
 
-class VertexProgram(Protocol):
-    """User code run by every vertex each superstep.
+class BatchVertexProgram(Protocol):
+    """User code run by every worker each superstep: one kernel per partition.
 
-    Programs must be picklable (the multiprocess backend ships one copy to
-    every worker); per-instance mutable state therefore becomes
-    *worker-local* state under multiprocess execution.  Programs that need
-    the input graph should implement ``bind_graph(graph)`` instead of
-    storing the graph in ``__init__`` — backends call it on each worker
-    after attaching the shared (zero-copy) graph arrays.
+    A program owns a *partition object* per worker — typically a struct of
+    numpy arrays over the worker's vertices — and executes each superstep
+    as vectorized kernels over the whole partition, exchanging typed
+    :class:`~repro.distributed.messages.MessageBatch` columns.
+
+    Programs must be picklable (process backends ship one copy to every
+    worker), and the partition is worker-local (built inside the worker
+    process under the process backends).  Vertex ids are ``0..n-1``.
     """
-
-    def compute(self, ctx: "VertexContext", vertex_id: int, state: dict, messages: list) -> None:
-        """Process ``messages``, mutate ``state``, send via ``ctx``."""
-        ...  # pragma: no cover - protocol
 
     def phase_name(self, superstep: int) -> str:
         """Label for metrics grouping (e.g. SHP's four protocol phases)."""
         ...  # pragma: no cover - protocol
 
-
-class BatchVertexProgram(Protocol):
-    """Columnar twin of :class:`VertexProgram`: one kernel per partition.
-
-    Instead of a Python ``compute()`` per vertex over dict state, a batch
-    program owns a *partition object* per worker — typically a struct of
-    numpy arrays over the worker's vertices — and executes each superstep as
-    vectorized kernels over the whole partition, exchanging typed
-    :class:`~repro.distributed.messages.MessageBatch` columns instead of
-    per-message tuples.  Backends detect batch programs by the presence of
-    ``compute_partition`` and route them through
-    :func:`repro.distributed.backend.execute_worker_superstep_batch`.
-
-    Contract mirrors the per-vertex path: programs must be picklable, the
-    partition is worker-local (built inside the worker process under the
-    multiprocess backend), and ``collect_states`` must fold the final
-    columns back into the caller's per-vertex dicts *in place* so the
-    engine's state contract holds on every backend.  Batch mode requires
-    contiguous vertex ids (``0..n-1``) for array-based placement lookup.
-    """
-
-    def phase_name(self, superstep: int) -> str:
-        """Label for metrics grouping (same as :class:`VertexProgram`)."""
-        ...  # pragma: no cover - protocol
-
     def create_partition(
-        self, worker_id: int, vids: list[int], states: dict[int, dict], graph
+        self, worker_id: int, vids: np.ndarray, columns: dict[str, np.ndarray], graph
     ) -> object:
-        """Build the worker-local struct-of-arrays state for ``vids``."""
+        """Build the worker-local state for ``vids`` (ascending).
+
+        ``columns`` holds the worker's slice of every initial column passed
+        to :meth:`GiraphEngine.load`, aligned with ``vids``; ``graph`` is
+        the read-only graph attached at load time (or ``None``).
+        """
         ...  # pragma: no cover - protocol
 
     def compute_partition(
@@ -107,8 +88,8 @@ class BatchVertexProgram(Protocol):
         """Run one superstep over the whole partition (vectorized)."""
         ...  # pragma: no cover - protocol
 
-    def collect_states(self, partition: object, states: dict[int, dict]) -> None:
-        """Write final column values back into the per-vertex dicts."""
+    def collect_states(self, partition: object) -> dict[str, np.ndarray]:
+        """Final per-vertex columns, aligned with the partition's ``vids``."""
         ...  # pragma: no cover - protocol
 
     def partition_nbytes(self, partition: object) -> int:
@@ -160,9 +141,9 @@ def counter_random_array(
 ) -> np.ndarray:
     """Vectorized :func:`counter_random` over an array of vertex ids.
 
-    Bit-identical to the scalar version (uint64 wraparound equals the
-    explicit mod-2^64 masking), so columnar kernels draw exactly the coins
-    the per-vertex path would.
+    Bit-identical to the scalar reference (uint64 wraparound equals the
+    explicit mod-2^64 masking), so a vertex draws the same coins whichever
+    kernel, worker or batch it is drawn in.
     """
     vids = np.asarray(vids)
     base = (
@@ -180,62 +161,14 @@ def counter_random_array(
 
 
 @dataclass
-class VertexContext:
-    """Per-superstep API handed to vertex programs.
-
-    Self-contained (no engine reference) so the identical context code runs
-    inside worker processes: sends buffer into ``_outbox``, aggregations
-    into ``_aggregates``; the backend drains both at the barrier.
-    """
-
-    superstep: int
-    worker_id: int
-    broadcasts: dict
-    seed: int = 0
-    _ops: int = 0
-    _vid: int = field(default=-1, repr=False)
-    _draws: int = field(default=0, repr=False)
-    _outbox: list = field(default_factory=list, repr=False)
-    _aggregates: dict = field(default_factory=dict, repr=False)
-
-    def send(self, dst: int, payload: object) -> None:
-        """Send ``payload`` to vertex ``dst`` (delivered next superstep)."""
-        self._outbox.append((dst, payload))
-        self._ops += 1
-
-    def aggregate(self, name: str, key: object, value: float = 1.0) -> None:
-        """Add ``value`` under ``key`` to the named global aggregator."""
-        bucket = self._aggregates.setdefault(name, {})
-        bucket[key] = bucket.get(key, 0.0) + value
-        self._ops += 1
-
-    def charge(self, ops: int) -> None:
-        """Account ``ops`` units of vertex compute work."""
-        self._ops += ops
-
-    def random(self) -> float:
-        """Deterministic uniform draw, keyed by (seed, superstep, vertex)."""
-        value = counter_random(self.seed, self.superstep, self._vid, self._draws)
-        self._draws += 1
-        return value
-
-    def _begin_vertex(self, vid: int) -> None:
-        self._vid = vid
-        self._draws = 0
-        self._ops += 1
-
-
-@dataclass
 class BatchContext:
     """Per-superstep API handed to :class:`BatchVertexProgram` kernels.
 
-    The columnar counterpart of :class:`VertexContext`: sends are whole
-    :class:`~repro.distributed.messages.MessageBatch` columns, aggregations
-    are bulk dict merges, and randomness is drawn per vertex-id array from
-    the same counter-based stream as the per-vertex path.  Op accounting is
-    explicit (``charge``) plus one op per sent message, mirroring
-    ``VertexContext.send``; programs that track parity with a per-vertex
-    twin charge the twin's per-vertex op counts themselves.
+    Sends are whole :class:`~repro.distributed.messages.MessageBatch`
+    columns, aggregations are bulk dict merges, and randomness is drawn per
+    vertex-id array from a counter-based stream.  Op accounting is explicit
+    (``charge``) plus one op per sent message; the worker adds one op per
+    local vertex for the superstep itself.
     """
 
     superstep: int
@@ -287,9 +220,9 @@ class BatchContext:
 
 @dataclass
 class JobResult:
-    """Final vertex states plus execution metrics."""
+    """Final per-vertex columns (indexed by vertex id) plus execution metrics."""
 
-    states: dict[int, dict]
+    states: dict[str, np.ndarray]
     metrics: JobMetrics
     supersteps_run: int
     halted_by_master: bool
@@ -303,10 +236,11 @@ class GiraphEngine:
     cluster:
         Worker count and machine model (:class:`ClusterSpec`).
     seed:
-        Controls random vertex placement and all :meth:`VertexContext.random`
+        Controls random vertex placement and all :meth:`BatchContext.random`
         draws; identical seeds reproduce identical runs on *every* backend.
     backend:
-        ``"sim"`` (default), ``"mp"``, or a :class:`Backend` instance.
+        ``"sim"`` (default), ``"mp"``, ``"rpc"``, or a :class:`Backend`
+        instance.
     """
 
     def __init__(
@@ -321,46 +255,77 @@ class GiraphEngine:
         self.seed = seed
         self.backend = resolve_backend(backend)
         self._rng = np.random.default_rng(seed)
-        self._states: dict[int, dict] = {}
+        self._num_vertices = 0
+        self._columns: dict[str, np.ndarray] = {}
         self._graph = None
-        self._worker_of: dict[int, int] = {}
-        #: dense vid -> worker lookup, available when vertex ids are the
-        #: contiguous range 0..n-1 (required by batch programs).
-        self._worker_of_array: np.ndarray | None = None
-        self._worker_vertices: list[list[int]] = [[] for _ in range(self.cluster.num_workers)]
+        #: vid -> worker placement over the vertex ids 0..n-1.
+        self._worker_of = np.empty(0, dtype=np.int64)
+        #: ascending vertex ids of each worker.
+        self._worker_vertices: list[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for _ in range(self.cluster.num_workers)
+        ]
 
     # ------------------------------------------------------------------
     # Graph loading
     # ------------------------------------------------------------------
-    def load(self, states: dict[int, dict], graph=None) -> None:
-        """Install vertex states and place vertices randomly on workers.
+    def load(
+        self,
+        num_vertices: int,
+        columns: dict[str, np.ndarray] | None = None,
+        graph=None,
+    ) -> None:
+        """Install ``num_vertices`` vertices and place them randomly on workers.
 
-        ``graph`` optionally attaches a read-only :class:`BipartiteGraph`
-        shared with every worker (zero-copy under the multiprocess backend);
-        programs receive it via ``bind_graph``.
+        ``columns`` maps a name to an initial per-vertex column (one entry
+        per vertex id ``0..num_vertices-1``); each worker's partition is
+        built from its slice.  ``graph`` optionally attaches a read-only
+        :class:`BipartiteGraph` shared with every worker (zero-copy under
+        the multiprocess backend).
         """
-        self._states = states
+        num_vertices = int(num_vertices)
+        if num_vertices < 0:
+            raise ValueError(f"num_vertices must be non-negative, got {num_vertices}")
+        columns = {name: np.asarray(col) for name, col in (columns or {}).items()}
+        for name, col in columns.items():
+            if col.shape[:1] != (num_vertices,):
+                raise ValueError(
+                    f"column {name!r} has shape {col.shape}, expected "
+                    f"{num_vertices} entries (one per vertex)"
+                )
+        self._num_vertices = num_vertices
+        self._columns = columns
         self._graph = graph
-        ids = np.fromiter(states.keys(), dtype=np.int64)
-        placement = self._rng.integers(0, self.cluster.num_workers, size=ids.size)
-        self._worker_of = dict(zip(ids.tolist(), placement.tolist()))
-        self._worker_of_array = None
-        if ids.size and int(ids.min()) == 0 and int(ids.max()) == ids.size - 1:
-            dense = np.empty(ids.size, dtype=np.int64)
-            dense[ids] = placement
-            self._worker_of_array = dense
-        self._worker_vertices = [[] for _ in range(self.cluster.num_workers)]
-        for vid, worker in self._worker_of.items():
-            self._worker_vertices[worker].append(vid)
-        for bucket_list in self._worker_vertices:
-            bucket_list.sort()
+        placement = self._rng.integers(0, self.cluster.num_workers, size=num_vertices)
+        self._worker_of = placement.astype(np.int64, copy=False)
+        self._worker_vertices = [
+            np.flatnonzero(self._worker_of == worker)
+            for worker in range(self.cluster.num_workers)
+        ]
+
+    def worker_columns(self, worker_id: int) -> dict[str, np.ndarray]:
+        """Worker ``worker_id``'s slice of every initial column."""
+        vids = self._worker_vertices[worker_id]
+        return {name: col[vids] for name, col in self._columns.items()}
+
+    def gather_columns(self, parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+        """Assemble per-worker columns (worker-id order) into vertex-id order."""
+        out: dict[str, np.ndarray] = {}
+        for worker_id, part in enumerate(parts):
+            vids = self._worker_vertices[worker_id]
+            for name, col in part.items():
+                if name not in out:
+                    out[name] = np.zeros(
+                        (self._num_vertices,) + col.shape[1:], dtype=col.dtype
+                    )
+                out[name][vids] = col
+        return out
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
         self,
-        program: VertexProgram,
+        program: BatchVertexProgram,
         master: MasterProgram | None = None,
         max_supersteps: int = 100,
         combiner=None,
@@ -369,6 +334,6 @@ class GiraphEngine:
 
         Per superstep: the master runs first (seeing the previous step's
         aggregates, returning broadcasts or ``None`` to halt), then every
-        vertex's compute function, then message delivery with metering.
+        worker's kernel, then message delivery with metering.
         """
         return self.backend.run(self, program, master, max_supersteps, combiner)

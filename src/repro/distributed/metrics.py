@@ -47,8 +47,7 @@ class SuperstepMetrics:
     #: scratch arrays a columnar kernel materializes and frees within one
     #: call (joins, entry expansions, candidate grids), reported via
     #: ``ctx.charge_transient``.  A logical meter: pure function of array
-    #: sizes, identical across backends; the dict path reports zero (its
-    #: per-vertex scratch is a few Python scalars).
+    #: sizes, identical across backends.
     transient_bytes_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
     active_vertices: int = 0
     #: real serialized bytes this superstep moved over backend transport

@@ -78,8 +78,7 @@ def compact_cell_sums(
     Bitwise contract: each cell's sum equals the dense bincount's bit for
     bit.  The stable sort keeps equal cells in input order and the
     bincount over compacted ids adds each cell's entries sequentially
-    left-to-right — exactly the accumulation order of the dense path
-    (and of the dict path's sorted-neighbor iteration).
+    left-to-right — exactly the accumulation order of the dense path.
     """
     if cells.size == 0:
         return cells.astype(np.int64), np.zeros(0, dtype=np.float64)

@@ -7,18 +7,14 @@ latency.  Aggregations by fanout produce the percentile-vs-fanout curves;
 summary statistics give the random-vs-SHP sharding comparison ("2x lower
 average latency", §4.2.1).
 
-Two execution paths share one contract:
-
-* ``method="batch"`` (default) — the vectorized planner: gather every
-  sampled query's neighbor list into one flat (query, server) array, group
-  it with a single sort + segmented reduction
-  (:meth:`ShardedKVStore.plan_multiget_batch`), and draw all per-request
-  latencies in one lognormal pass (:meth:`LatencyModel.multiget_batch`).
-* ``method="loop"`` — the reference implementation, one query at a time.
-
-Both produce bitwise-identical fanout / request / record counters (pinned
-by ``tests/test_serving.py``); only the latency *draws* differ (same
-distribution, different RNG consumption order).
+The replay is one vectorized pass: gather every sampled query's neighbor
+list into one flat (query, server) array, group it with a single sort +
+segmented reduction (:meth:`ShardedKVStore.plan_multiget_batch`), and draw
+all per-request latencies in one lognormal pass
+(:meth:`LatencyModel.multiget_batch`).  Its fanout / request / record
+counters are pinned bitwise, and its mean latency to 5%, by goldens
+recorded from the per-query reference replay it replaced
+(``tests/golden/serving_replay.json``).
 """
 
 from __future__ import annotations
@@ -127,35 +123,18 @@ def replay_traffic(
     query_ids: np.ndarray,
     latency_model: LatencyModel | None = None,
     seed: int = 0,
-    method: str = "batch",
 ) -> ReplayResult:
     """Replay ``query_ids`` as multi-gets against the sharded store.
 
-    ``method="batch"`` runs the vectorized planner (default);
-    ``method="loop"`` runs the per-query reference path.  Counters and
-    per-sample fanout/record arrays are identical between the two.
+    One flat gather + one sort + one lognormal pass for the whole trace;
+    queries with no neighbors produce no request and no sample.
     """
     model = latency_model or LatencyModel()
     rng = np.random.default_rng(seed)
     store = ShardedKVStore(num_servers=num_servers, assignment=assignment)
-    queries = np.asarray(query_ids, dtype=np.int64)
-    if method == "batch":
-        return _replay_batch(graph, store, queries, model, rng)
-    if method == "loop":
-        return _replay_loop(graph, store, queries, model, rng)
-    raise ValueError("method must be 'batch' or 'loop'")
-
-
-def _replay_batch(
-    graph: BipartiteGraph,
-    store: ShardedKVStore,
-    query_ids: np.ndarray,
-    model: LatencyModel,
-    rng: np.random.Generator,
-) -> ReplayResult:
-    """One flat gather + one sort + one lognormal pass for the whole trace."""
+    query_ids = np.asarray(query_ids, dtype=np.int64)
     degrees = graph.q_indptr[query_ids + 1] - graph.q_indptr[query_ids]
-    keep = degrees > 0  # empty queries produce no requests (loop path skips them)
+    keep = degrees > 0
     queries = query_ids[keep]
     degrees = degrees[keep].astype(np.int64)
     num_queries = int(queries.size)
@@ -182,34 +161,6 @@ def _replay_batch(
         fanouts=fanouts,
         latencies=latencies,
         records=degrees,
-        requests_total=int(store.requests_per_server.sum()),
-        records_total=int(store.records_per_server.sum()),
-    )
-
-
-def _replay_loop(
-    graph: BipartiteGraph,
-    store: ShardedKVStore,
-    query_ids: np.ndarray,
-    model: LatencyModel,
-    rng: np.random.Generator,
-) -> ReplayResult:
-    """Reference path: one query at a time (kept for parity testing)."""
-    fanouts: list[int] = []
-    latencies: list[float] = []
-    records: list[int] = []
-    for q in query_ids.tolist():
-        keys = graph.query_neighbors(q)
-        if keys.size == 0:
-            continue
-        _, counts = store.plan_multiget(keys)
-        fanouts.append(int(counts.size))
-        latencies.append(model.multiget(rng, counts))
-        records.append(int(keys.size))
-    return ReplayResult(
-        fanouts=np.array(fanouts, dtype=np.int64),
-        latencies=np.array(latencies, dtype=np.float64),
-        records=np.array(records, dtype=np.int64),
         requests_total=int(store.requests_per_server.sum()),
         records_total=int(store.records_per_server.sum()),
     )

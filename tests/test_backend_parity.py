@@ -1,9 +1,9 @@
-"""Cross-backend parity: SimulatedBackend vs MultiprocessBackend.
+"""Cross-backend parity: SimulatedBackend vs the process backends.
 
 The whole point of the backend abstraction is that *where* workers execute
-is invisible to the algorithm: given a seed, the multiprocess backend must
-produce bit-identical vertex states and the same metered traffic as the
-in-process simulator.  These tests pin that contract.
+is invisible to the algorithm: given a seed, the multiprocess and rpc
+backends must produce bit-identical vertex columns and the same metered
+traffic as the in-process simulator.  These tests pin that contract.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from engine_programs import ColumnProgram, RingProgram
 from repro import SHPConfig
 from repro.core import balanced_random_assignment
 from repro.distributed import (
     ClusterSpec,
     GiraphEngine,
     MultiprocessBackend,
+    RpcBackend,
     SimulatedBackend,
     resolve_backend,
 )
@@ -30,55 +32,45 @@ def parity_graph():
     return community_bipartite(160, 220, 1500, num_communities=8, mixing=0.2, seed=4)
 
 
-class RingProgram:
-    """Deterministic message/aggregate traffic plus per-vertex randomness."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def phase_name(self, superstep):
-        return f"ring{superstep}"
-
-    def compute(self, ctx, vid, state, messages):
-        state["sum"] = state.get("sum", 0) + sum(messages)
-        state["coin"] = ctx.random()
-        ctx.aggregate("seen", "count", 1.0)
-        ctx.send((vid + 1) % self.n, vid)
+def _ring_run(backend, n=24, workers=3, seed=9, supersteps=4, columns=None):
+    engine = GiraphEngine(ClusterSpec(num_workers=workers), seed=seed, backend=backend)
+    engine.load(n, columns)
+    return engine.run(RingProgram(n), max_supersteps=supersteps)
 
 
 class TestEngineParity:
-    def test_states_mutated_in_place_on_every_backend(self):
-        """The dicts passed to load() hold the final values after run() —
-        part of the backend contract, so sim-written code survives mp."""
-        for backend in ("sim", "mp"):
-            states = {v: {} for v in range(12)}
-            engine = GiraphEngine(ClusterSpec(num_workers=2), seed=3, backend=backend)
-            engine.load(states)
-            result = engine.run(RingProgram(12), max_supersteps=3)
-            for v in range(12):
-                assert states[v] is result.states[v], backend
-                assert states[v]["sum"] == result.states[v]["sum"], backend
-                assert "coin" in states[v], backend
+    def test_final_columns_returned_on_every_backend(self):
+        """run() returns fresh final columns in vertex-id order on every
+        backend and never writes into the columns passed to load()."""
+        label = np.arange(12, dtype=np.int64) * 7
+        sim = _ring_run("sim", n=12, workers=2, seed=3, supersteps=3,
+                        columns={"label": label})
+        for backend in ("sim", "mp", RpcBackend(step_timeout=60.0)):
+            result = _ring_run(backend, n=12, workers=2, seed=3, supersteps=3,
+                               columns={"label": label})
+            assert np.array_equal(label, np.arange(12) * 7)
+            assert result.states["label"] is not label
+            assert np.array_equal(result.states["label"], label)
+            for name in ("sum", "coin"):
+                assert np.array_equal(result.states[name], sim.states[name])
+        # Three supersteps of the ring: two deliveries from the predecessor.
+        assert sim.states["sum"].tolist() == [2 * ((v - 1) % 12) for v in range(12)]
 
     def test_states_and_metrics_match(self):
-        def run(backend):
-            engine = GiraphEngine(ClusterSpec(num_workers=3), seed=9, backend=backend)
-            engine.load({v: {} for v in range(24)})
-            return engine.run(RingProgram(24), max_supersteps=4)
-
-        sim = run("sim")
-        mp_ = run("mp")
-        assert sim.supersteps_run == mp_.supersteps_run == 4
-        for v in range(24):
-            assert sim.states[v]["sum"] == mp_.states[v]["sum"]
-            assert sim.states[v]["coin"] == mp_.states[v]["coin"]
-        for a, b in zip(sim.metrics.supersteps, mp_.metrics.supersteps):
-            assert a.total_messages == b.total_messages
-            assert a.messages_remote == b.messages_remote
-            assert np.array_equal(a.ops_per_worker, b.ops_per_worker)
-            assert np.array_equal(a.messages_per_worker, b.messages_per_worker)
-            assert np.array_equal(a.remote_bytes_per_worker, b.remote_bytes_per_worker)
-            assert np.array_equal(a.memory_per_worker, b.memory_per_worker)
+        sim = _ring_run("sim")
+        for backend in ("mp", RpcBackend(step_timeout=60.0)):
+            other = _ring_run(backend)
+            assert sim.supersteps_run == other.supersteps_run == 4
+            assert np.array_equal(sim.states["sum"], other.states["sum"])
+            assert np.array_equal(sim.states["coin"], other.states["coin"])
+            for a, b in zip(sim.metrics.supersteps, other.metrics.supersteps):
+                assert a.total_messages == b.total_messages
+                assert a.messages_remote == b.messages_remote
+                assert a.active_vertices == b.active_vertices
+                assert np.array_equal(a.ops_per_worker, b.ops_per_worker)
+                assert np.array_equal(a.messages_per_worker, b.messages_per_worker)
+                assert np.array_equal(a.remote_bytes_per_worker, b.remote_bytes_per_worker)
+                assert np.array_equal(a.memory_per_worker, b.memory_per_worker)
 
 
 class TestDistributedSHPParity:
@@ -159,15 +151,12 @@ class TestBackendResolution:
         assert np.array_equal(sim.assignment, mp_.assignment)
 
     def test_worker_errors_propagate(self):
-        class Exploder:
-            def phase_name(self, superstep):
-                return "boom"
-
-            def compute(self, ctx, vid, state, messages):
+        class Exploder(ColumnProgram):
+            def compute_partition(self, ctx, part, inbox):
                 raise ValueError("vertex exploded")
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0, backend="mp")
-        engine.load({v: {} for v in range(4)})
+        engine.load(4)
         with pytest.raises(ValueError, match="vertex exploded"):
             engine.run(Exploder(), max_supersteps=1)
 
@@ -177,15 +166,12 @@ class TestBackendResolution:
                 self.vid = vid
                 super().__init__(msg)
 
-        class Exploder:
-            def phase_name(self, superstep):
-                return "boom"
-
-            def compute(self, ctx, vid, state, messages):
-                raise PicklePoison(vid, "custom failure")
+        class Exploder(ColumnProgram):
+            def compute_partition(self, ctx, part, inbox):
+                raise PicklePoison(int(part["vids"][0]), "custom failure")
 
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0, backend="mp")
-        engine.load({0: {}})
+        engine.load(1)
         # The original type cannot cross the pipe; the cause must anyway.
         with pytest.raises(RuntimeError, match="PicklePoison.*custom failure"):
             engine.run(Exploder(), max_supersteps=1)

@@ -2,10 +2,11 @@
 
 The acceptance contract for ``backend = "rpc"``: a job over >= 2
 auto-spawned localhost workers produces bitwise-identical assignments to
-the in-process backends per seed (both vertex modes, combiners on and
-off), meters real bytes-on-wire and barrier round-trips, and survives a
-worker killed mid-superstep by re-homing its logical workers onto
-survivors and retrying the superstep.
+the in-process backends per seed (combiners on and off), meters real
+bytes-on-wire and barrier round-trips, and survives a worker killed
+mid-superstep by re-homing its logical workers onto survivors and retrying
+the superstep.  The golden cells in ``tests/test_vertex_mode_parity.py``
+pin the same on recorded reference runs.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ def _config() -> SHPConfig:
     )
 
 
-def _run(graph, backend, vertex_mode="columnar", combiner=False):
+def _run(graph, backend, combiner=False):
     job = DistributedSHP(
         _config(),
         cluster=ClusterSpec(num_workers=3),
         mode="2",
         backend=backend,
-        vertex_mode=vertex_mode,
         combiner=combiner,
     )
     return job.run(graph)
@@ -47,18 +47,13 @@ def _run(graph, backend, vertex_mode="columnar", combiner=False):
 
 @pytest.fixture(scope="module")
 def sim_reference(graph):
-    return {
-        (vm, comb): _run(graph, "sim", vm, comb)
-        for vm in ("dict", "columnar")
-        for comb in (False, True)
-    }
+    return {comb: _run(graph, "sim", comb) for comb in (False, True)}
 
 
-@pytest.mark.parametrize("vertex_mode", ["dict", "columnar"])
 @pytest.mark.parametrize("combiner", [False, True])
-def test_rpc_matches_sim_bitwise(graph, sim_reference, vertex_mode, combiner):
-    reference = sim_reference[(vertex_mode, combiner)]
-    run = _run(graph, RpcBackend(step_timeout=60.0), vertex_mode, combiner)
+def test_rpc_matches_sim_bitwise(graph, sim_reference, combiner):
+    reference = sim_reference[combiner]
+    run = _run(graph, RpcBackend(step_timeout=60.0), combiner)
 
     assert np.array_equal(run.assignment, reference.assignment)
     assert run.supersteps == reference.supersteps
@@ -71,7 +66,7 @@ def test_rpc_matches_sim_bitwise(graph, sim_reference, vertex_mode, combiner):
 
 def test_rpc_meters_wire_bytes_and_round_trips(graph, sim_reference):
     run = _run(graph, RpcBackend(step_timeout=60.0))
-    reference = sim_reference[("columnar", False)]
+    reference = sim_reference[False]
 
     # Physical meters are populated on rpc, zero on sim.
     assert run.metrics.total_wire_bytes > 0
@@ -90,21 +85,18 @@ def test_rpc_meters_wire_bytes_and_round_trips(graph, sim_reference):
 def test_combiner_reduces_wire_bytes_on_rpc(graph):
     """Checkpoint traffic is identical per setting, so combining must show
     up as strictly fewer physical bytes end to end."""
-    off = _run(graph, RpcBackend(step_timeout=60.0), "columnar", False)
-    on = _run(graph, RpcBackend(step_timeout=60.0), "columnar", True)
+    off = _run(graph, RpcBackend(step_timeout=60.0), False)
+    on = _run(graph, RpcBackend(step_timeout=60.0), True)
     assert np.array_equal(on.assignment, off.assignment)
     assert on.metrics.total_wire_bytes < off.metrics.total_wire_bytes
 
 
-@pytest.mark.parametrize("vertex_mode", ["dict", "columnar"])
-def test_worker_death_mid_superstep_recovers_bitwise(
-    graph, sim_reference, vertex_mode
-):
+def test_worker_death_mid_superstep_recovers_bitwise(graph, sim_reference):
     """Kill peer 1 right before superstep 6: its logical workers are
     re-homed from checkpoints and the superstep retried — same answer."""
-    reference = sim_reference[(vertex_mode, False)]
+    reference = sim_reference[False]
     backend = RpcBackend(step_timeout=60.0, chaos_kill=(6, 1))
-    run = _run(graph, backend, vertex_mode)
+    run = _run(graph, backend)
 
     assert np.array_equal(run.assignment, reference.assignment)
     assert run.supersteps == reference.supersteps
@@ -119,10 +111,23 @@ def test_all_peers_dead_raises(graph):
     backend = RpcBackend(step_timeout=60.0, chaos_kill=(2, 0))
     solo = DistributedSHP(
         _config(), cluster=ClusterSpec(num_workers=1), mode="2",
-        backend=backend, vertex_mode="columnar",
+        backend=backend,
     )
     with pytest.raises(RuntimeError, match="workers are gone"):
         solo.run(graph)
+
+
+def test_worker_error_reaches_master():
+    """A worker-side failure stops the run with its cause, not a hang."""
+    from engine_programs import SendTo
+    from repro.distributed import GiraphEngine
+
+    engine = GiraphEngine(
+        ClusterSpec(num_workers=2), seed=0, backend=RpcBackend(step_timeout=60.0)
+    )
+    engine.load(2)
+    with pytest.raises(RuntimeError, match="UnknownVertexError.*vertex -1,"):
+        engine.run(SendTo(-1), max_supersteps=1)
 
 
 def test_external_hosts_via_serve_worker(graph, sim_reference):
@@ -145,7 +150,7 @@ def test_external_hosts_via_serve_worker(graph, sim_reference):
 
     backend = RpcBackend(hosts=[f"127.0.0.1:{ports[0]}"], step_timeout=60.0)
     run = _run(graph, backend)  # 3 logical workers on 1 host
-    reference = sim_reference[("columnar", False)]
+    reference = sim_reference[False]
     assert np.array_equal(run.assignment, reference.assignment)
     server.join(timeout=10)
     assert not server.is_alive()
@@ -164,8 +169,7 @@ def test_jobspec_runner_selects_rpc(tmp_path):
         seed=7,
         graph=GraphSpec(source="darwini", users=300, avg_degree=5),
         algorithm=AlgorithmSpec(name="shp-2", k=4),
-        execution=ExecutionSpec(backend="rpc", workers=2,
-                                vertex_mode="columnar", combiner=True,
+        execution=ExecutionSpec(backend="rpc", workers=2, combiner=True,
                                 step_timeout=60.0),
         output=OutputSpec(artifacts=str(tmp_path / "run")),
     )

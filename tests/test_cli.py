@@ -156,6 +156,28 @@ class TestDatasetsCommand:
         assert "FB-10B" in out and "email-Enron" in out
 
 
+class TestRpcWorkerCommand:
+    def test_binds_loopback_by_default(self, monkeypatch, capsys):
+        """Frames are unauthenticated pickles: only an explicit --host may
+        expose a worker beyond this machine."""
+        from repro.cli import build_parser
+        from repro.distributed import backend_rpc
+
+        assert build_parser().parse_args(["rpc-worker"]).host == "127.0.0.1"
+        bound = []
+
+        def fake_serve(host, port, *, serve_forever, ready):
+            bound.append((host, port, serve_forever))
+            ready(7077)
+
+        monkeypatch.setattr(backend_rpc, "serve_worker", fake_serve)
+        assert main(["rpc-worker", "--once"]) == 0
+        assert bound == [("127.0.0.1", 0, False)]
+        assert "listening on 127.0.0.1:7077" in capsys.readouterr().out
+        assert main(["rpc-worker", "--host", "0.0.0.0", "--port", "7077"]) == 0
+        assert bound[-1] == ("0.0.0.0", 7077, True)
+
+
 class TestRunCommand:
     def _write_spec(self, tmp_path, graph_path, **extra):
         data = {

@@ -1,6 +1,6 @@
 """Cross-implementation consistency: distributed job vs vectorized core.
 
-The distributed vertex program re-implements the gain math in scalar form
+The distributed vertex program tabulates the gain math from scalar closures
 (`_scalar_gain_fns`) and the master re-uses `match_histogram_cells`.  These
 tests pin the two implementations together so they cannot drift.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed_shp.job import _scalar_gain_fns
+from repro.distributed_shp.columnar import _scalar_gain_fns
 from repro.objectives import (
     CliqueNetObjective,
     FanoutObjective,

@@ -81,8 +81,15 @@ class TestProtocolCorrectness:
             DistributedSHP(SHPConfig(k=4), mode="3")
 
     def test_bad_vertex_mode_rejected(self):
-        with pytest.raises(ValueError, match="vertex_mode"):
-            DistributedSHP(SHPConfig(k=4), vertex_mode="rowwise")
+        # Columns are the one vertex representation: old job files that
+        # carry `vertex_mode` load only with "columnar", and the removed
+        # dict mode is named in the error.
+        from repro.api import ExecutionSpec, SpecError
+
+        assert ExecutionSpec(backend="sim", vertex_mode="columnar")
+        for bad in ("dict", "rowwise"):
+            with pytest.raises(SpecError, match=r"execution\.vertex_mode.*dict.*removed"):
+                ExecutionSpec(backend="sim", vertex_mode=bad)
 
 
 class TestInitialValidation:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from engine_programs import ColumnProgram, EchoProgram, FanInProgram, ring
 from repro.distributed import (
     ClusterSpec,
+    Combiner,
     CostModel,
     GiraphEngine,
     MessageBatch,
@@ -14,26 +16,7 @@ from repro.distributed import (
     SumCombiner,
     counter_random,
     counter_random_array,
-    sizeof_payload,
 )
-
-
-class EchoProgram:
-    """Each vertex forwards received values to its neighbors; seeds once."""
-
-    def __init__(self, adjacency):
-        self.adjacency = adjacency
-
-    def phase_name(self, superstep):
-        return f"step{superstep}"
-
-    def compute(self, ctx, vid, state, messages):
-        if ctx.superstep == 0:
-            state["received"] = []
-            for neighbor in self.adjacency.get(vid, []):
-                ctx.send(neighbor, vid)
-        else:
-            state["received"].extend(messages)
 
 
 class CountingMaster:
@@ -48,63 +31,76 @@ class CountingMaster:
         return {"superstep": superstep}
 
 
+def _echo(n, succ, workers, seed, supersteps, **kwargs):
+    engine = GiraphEngine(ClusterSpec(num_workers=workers), seed=seed, **kwargs)
+    engine.load(n)
+    return engine.run(EchoProgram(succ), max_supersteps=supersteps)
+
+
 class TestMessaging:
     def test_messages_delivered_next_superstep(self):
-        adjacency = {0: [1], 1: [2], 2: [0]}
-        engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(3)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
-        assert result.states[1]["received"] == [0]
-        assert result.states[2]["received"] == [1]
-        assert result.states[0]["received"] == [2]
+        result = _echo(3, [1, 2, 0], workers=2, seed=1, supersteps=2)
+        # Each vertex heard exactly once, from its ring predecessor.
+        assert result.states["count"].tolist() == [1, 1, 1]
+        assert result.states["received"].tolist() == [2, 0, 1]
+        # Nothing arrives within the superstep that sent it.
+        first = _echo(3, [1, 2, 0], workers=2, seed=1, supersteps=1)
+        assert first.states["count"].tolist() == [0, 0, 0]
 
     def test_local_vs_remote_metering(self):
-        adjacency = {i: [(i + 1) % 8] for i in range(8)}
-        engine = GiraphEngine(ClusterSpec(num_workers=4), seed=3)
-        engine.load({v: {} for v in range(8)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=1)
+        result = _echo(8, ring(8), workers=4, seed=3, supersteps=1)
         step = result.metrics.supersteps[0]
         assert step.messages_local + step.messages_remote == 8
         assert step.messages_remote > 0  # 4 workers: some edges cross
 
     def test_single_worker_all_local(self):
-        adjacency = {i: [(i + 1) % 5] for i in range(5)}
-        engine = GiraphEngine(ClusterSpec(num_workers=1), seed=3)
-        engine.load({v: {} for v in range(5)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=1)
+        result = _echo(5, ring(5), workers=1, seed=3, supersteps=1)
         step = result.metrics.supersteps[0]
         assert step.messages_remote == 0
         assert step.messages_local == 5
 
     def test_deterministic_given_seed(self):
-        adjacency = {i: [(i * 3 + 1) % 10] for i in range(10)}
+        succ = (np.arange(10) * 3 + 1) % 10
 
         def run_once():
-            engine = GiraphEngine(ClusterSpec(num_workers=3), seed=5)
-            engine.load({v: {} for v in range(10)})
-            result = engine.run(EchoProgram(adjacency), max_supersteps=2)
-            return [tuple(result.states[v]["received"]) for v in range(10)]
+            result = _echo(10, succ, workers=3, seed=5, supersteps=2)
+            return result.states["received"].tolist(), result.states["count"].tolist()
 
         assert run_once() == run_once()
+
+
+class AggProgram(ColumnProgram):
+    phase = "agg"
+
+    def compute_partition(self, ctx, part, inbox):
+        ctx.aggregate_items("total", {"sum": float(part["vids"].sum())})
+
+
+class BroadcastReader(ColumnProgram):
+    """Records the ``value`` broadcast of every superstep in ``seen``."""
+
+    phase = "read"
+
+    def create_partition(self, worker_id, vids, columns, graph):
+        part = super().create_partition(worker_id, vids, columns, graph)
+        part["seen"] = np.zeros((len(vids), 0), dtype=np.int64)
+        return part
+
+    def compute_partition(self, ctx, part, inbox):
+        value = np.full((part["vids"].size, 1), ctx.broadcasts.get("value"))
+        part["seen"] = np.hstack((part["seen"], value))
 
 
 class TestMaster:
     def test_master_halts_engine(self):
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0)
-        engine.load({0: {}})
+        engine.load(1)
         master = CountingMaster(stop_at=3)
-        result = engine.run(EchoProgram({}), master=master, max_supersteps=100)
+        result = engine.run(EchoProgram([-1]), master=master, max_supersteps=100)
         assert result.halted_by_master
         assert result.supersteps_run == 3
 
     def test_aggregates_reach_master(self):
-        class AggProgram:
-            def phase_name(self, superstep):
-                return "agg"
-
-            def compute(self, ctx, vid, state, messages):
-                ctx.aggregate("total", "sum", float(vid))
-
         class Recorder:
             def __init__(self):
                 self.seen = []
@@ -116,20 +112,13 @@ class TestMaster:
                 return {}
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(4)})
+        engine.load(4)
         recorder = Recorder()
         engine.run(AggProgram(), master=recorder, max_supersteps=10)
         # Aggregates from superstep 0 are visible at superstep 1's master call.
         assert recorder.seen[1] == {"sum": 6.0}
 
     def test_broadcasts_reach_vertices(self):
-        class BroadcastReader:
-            def phase_name(self, superstep):
-                return "read"
-
-            def compute(self, ctx, vid, state, messages):
-                state.setdefault("seen", []).append(ctx.broadcasts.get("value"))
-
         class Broadcaster:
             def compute(self, superstep, aggregates):
                 if superstep >= 2:
@@ -137,32 +126,21 @@ class TestMaster:
                 return {"value": superstep * 10}
 
         engine = GiraphEngine(ClusterSpec(num_workers=1), seed=0)
-        engine.load({0: {}})
+        engine.load(1)
         result = engine.run(BroadcastReader(), master=Broadcaster(), max_supersteps=10)
-        assert result.states[0]["seen"] == [0, 10]
+        assert result.states["seen"][0].tolist() == [0, 10]
 
 
 class TestCombiner:
     def test_sum_combiner_reduces_messages(self):
-        class FanIn:
-            def phase_name(self, superstep):
-                return "fanin"
-
-            def compute(self, ctx, vid, state, messages):
-                if ctx.superstep == 0 and vid != 0:
-                    ctx.send(0, 1.0)
-                elif messages:
-                    state["total"] = sum(messages)
-
         def run(combiner):
             engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-            engine.load({v: {} for v in range(9)})
-            result = engine.run(FanIn(), max_supersteps=2, combiner=combiner)
-            return result
+            engine.load(9)
+            return engine.run(FanInProgram(), max_supersteps=2, combiner=combiner)
 
         plain = run(None)
         combined = run(SumCombiner())
-        assert plain.states[0]["total"] == combined.states[0]["total"] == 8.0
+        assert plain.states["total"][0] == combined.states["total"][0] == 8.0
         assert (
             combined.metrics.supersteps[0].total_messages
             < plain.metrics.supersteps[0].total_messages
@@ -172,64 +150,48 @@ class TestCombiner:
 class TestAccounting:
     def test_memory_tracked(self):
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {"blob": np.zeros(100)} for v in range(4)})
-        result = engine.run(EchoProgram({}), max_supersteps=1)
+        engine.load(4, {"blob": np.zeros((4, 100))})
+        result = engine.run(EchoProgram([-1] * 4), max_supersteps=1)
         assert result.metrics.peak_worker_memory() >= 800  # at least one blob
 
     def test_modeled_time_positive(self):
-        adjacency = {i: [(i + 1) % 6] for i in range(6)}
-        engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(6)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+        result = _echo(6, ring(6), workers=2, seed=1, supersteps=2)
         assert result.metrics.modeled_seconds(CostModel()) > 0
         assert result.metrics.modeled_total_machine_seconds(CostModel()) == (
             pytest.approx(2 * result.metrics.modeled_seconds(CostModel()))
         )
 
     def test_phase_grouping(self):
-        engine = GiraphEngine(ClusterSpec(num_workers=1), seed=1)
-        engine.load({0: {}})
-        result = engine.run(EchoProgram({}), max_supersteps=3)
+        result = _echo(1, [-1], workers=1, seed=1, supersteps=3)
         assert set(result.metrics.by_phase()) == {"step0", "step1", "step2"}
 
 
 class TestActiveVertices:
-    """active_vertices counts vertices that computed and did work — not
-    just vertices with non-empty mailboxes (regression: superstep 0 read 0
-    even though every vertex ran and sent)."""
+    """active_vertices sums what every worker's kernel reports active —
+    at superstep 0 every sender, later every receiver."""
 
     def test_superstep0_senders_are_active(self):
-        adjacency = {i: [(i + 1) % 6] for i in range(6)}
-        engine = GiraphEngine(ClusterSpec(num_workers=2), seed=1)
-        engine.load({v: {} for v in range(6)})
-        result = engine.run(EchoProgram(adjacency), max_supersteps=2)
+        result = _echo(6, ring(6), workers=2, seed=1, supersteps=2)
         assert result.metrics.supersteps[0].active_vertices == 6
         assert result.metrics.supersteps[1].active_vertices == 6  # receivers
 
     def test_aggregating_without_messages_is_active(self):
-        class AggOnly:
-            def phase_name(self, superstep):
-                return "agg"
+        class AggOnly(ColumnProgram):
+            phase = "agg"
 
-            def compute(self, ctx, vid, state, messages):
-                ctx.aggregate("seen", "count", 1.0)
+            def compute_partition(self, ctx, part, inbox):
+                ctx.aggregate_items("seen", {"count": float(part["vids"].size)})
+                ctx.add_active(part["vids"].size)
 
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(5)})
+        engine.load(5)
         result = engine.run(AggOnly(), max_supersteps=1)
         assert result.metrics.supersteps[0].active_vertices == 5
 
     def test_idle_vertices_are_inactive(self):
-        class Idle:
-            def phase_name(self, superstep):
-                return "idle"
-
-            def compute(self, ctx, vid, state, messages):
-                pass
-
         engine = GiraphEngine(ClusterSpec(num_workers=2), seed=0)
-        engine.load({v: {} for v in range(5)})
-        result = engine.run(Idle(), max_supersteps=1)
+        engine.load(5)
+        result = engine.run(ColumnProgram(), max_supersteps=1)
         assert result.metrics.supersteps[0].active_vertices == 0
 
 
@@ -281,7 +243,6 @@ class TestMessageBatch:
         assert lengths.tolist() == [3, 2]
 
     def test_schema_measure_matches_batch(self):
-        payload = ("q", 4, 1.0, {0: 1, 2: 3})
         from repro.distributed_shp import NDATA_SCHEMA
 
         batch = MessageBatch(
@@ -295,7 +256,8 @@ class TestMessageBatch:
                 "count": np.array([1, 3], dtype=np.int32),
             },
         )
-        assert NDATA_SCHEMA.measure(payload) == batch.nbytes == 16 + 2 * 8
+        schema_bytes = NDATA_SCHEMA.fixed_nbytes + 2 * NDATA_SCHEMA.entry_nbytes
+        assert schema_bytes == batch.nbytes == 16 + 2 * 8
 
     def test_split_routes_rows_and_shares_pool(self):
         batch = MessageBatch(
@@ -325,33 +287,22 @@ class TestMessageBatch:
             )
 
     def test_combiner_resolution_one_code_path(self):
-        """resolve_combiner gates both vertex modes: batch programs accept
-        batch-capable combiners and reject dict-only ones with a clear
-        error; non-Combiner objects are a TypeError everywhere."""
+        """resolve_combiner accepts None or a Combiner; a Combiner must
+        implement combine_batch; anything else is a TypeError."""
         from repro.distributed.backend import resolve_combiner
-        from repro.distributed.messages import Combiner
-        from repro.distributed_shp import SHPColumnarProgram, ShpDeltaCombiner
+        from repro.distributed_shp import ShpDeltaCombiner
 
-        batch_program = SHPColumnarProgram.__new__(SHPColumnarProgram)
-
-        # Batch-capable combiners pass through for batch programs.
         for ok in (SumCombiner(), ShpDeltaCombiner()):
-            assert resolve_combiner(batch_program, ok) is ok
-        assert resolve_combiner(batch_program, None) is None
+            assert resolve_combiner(ok) is ok
+        assert resolve_combiner(None) is None
 
-        # A dict-only custom combiner is the genuinely unsupported case.
-        class DictOnly(Combiner):
-            def combine(self, payloads):
-                return payloads
+        class NoBatch(Combiner):
+            pass
 
-        with pytest.raises(ValueError, match="combine_batch"):
-            resolve_combiner(batch_program, DictOnly())
-        # ...but is fine for dict-path programs.
-        dict_program = EchoProgram(adjacency={})
-        assert isinstance(resolve_combiner(dict_program, DictOnly()), DictOnly)
-
+        with pytest.raises(TypeError, match="combine_batch"):
+            NoBatch()
         with pytest.raises(TypeError, match="Combiner"):
-            resolve_combiner(dict_program, object())
+            resolve_combiner(object())
 
     def test_compact_deduplicates_shared_rows(self):
         pool = np.arange(10, dtype=np.int32)
@@ -375,22 +326,3 @@ class TestMessageBatch:
         assert np.array_equal(
             batch.per_message_nbytes(), compacted.per_message_nbytes()
         )
-
-
-class TestSizeof:
-    @pytest.mark.parametrize(
-        "payload,expected",
-        [
-            (None, 1),
-            (5, 8),
-            (3.14, 8),
-            ((1, 2), 8 + 16),
-            ({"a": 1}, 8 + 1 + 8),
-            ("abc", 3),
-        ],
-    )
-    def test_sizes(self, payload, expected):
-        assert sizeof_payload(payload) == expected
-
-    def test_ndarray_size(self):
-        assert sizeof_payload(np.zeros(10, dtype=np.float64)) == 80

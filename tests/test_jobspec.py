@@ -50,7 +50,7 @@ class TestRoundTrip:
             algorithm=AlgorithmSpec(
                 name="shp-k", k=8, objective="cliquenet", options={"move_damping": 0.5}
             ),
-            execution=ExecutionSpec(backend="sim", workers=3, vertex_mode="dict"),
+            execution=ExecutionSpec(backend="sim", workers=3, combiner=True),
             serving=ServingSpec(servers=4, rounds=2),
             output=OutputSpec(assignment="a.npz", artifacts="runs/x"),
         )

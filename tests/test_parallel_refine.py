@@ -22,7 +22,6 @@ from repro.core.parallel_refine import ParallelGainPool, split_ranks_by_edges
 from repro.distributed.shared_pool import SharedArrayPack, SharedArrayPool
 from repro.distributed_shp import DistributedSHP
 from golden.record_goldens import assert_dshp_cell, load_goldens
-from repro.distributed import RpcBackend
 from repro.hypergraph import BipartiteGraph, community_bipartite
 from repro.objectives import compact_cell_sums
 
@@ -295,24 +294,21 @@ class TestSparseS3:
     def test_dict_columnar_parity(self, mode, k):
         # k=16 drives mode-"k" S3 past DENSE_S3_MAX_LEVEL_K into the
         # sparse selection; mode "2" exercises the sibling-restricted
-        # aggregation.  Both must reproduce, bitwise and on every backend,
-        # the golden cell recorded from the retired dict vertex program.
+        # aggregation.  Both must reproduce, bitwise, the golden cell
+        # recorded from the retired dict vertex program (the mp and rpc
+        # runs of every cell are in tests/test_vertex_mode_parity.py).
         name = f"sparse-s3-{mode}-{k}"
-        cell = load_goldens("distributed_shp.json")[name]
-        for backend in ("sim", "mp", RpcBackend(step_timeout=60.0)):
-            assert_dshp_cell(cell, backend, label=name)
+        assert_dshp_cell(load_goldens("distributed_shp.json")[name], label=name)
 
 
 class TestTransientMetering:
-    def test_columnar_reports_dict_does_not(self):
+    def test_columnar_reports_transient_bytes(self):
         graph = community_bipartite(
             120, 180, 1100, num_communities=6, mixing=0.2, seed=2
         )
         cfg = SHPConfig(k=4, seed=3, iterations_per_bisection=4, max_iterations=6)
-        cols = DistributedSHP(cfg, mode="2", vertex_mode="columnar").run(graph)
-        dicts = DistributedSHP(cfg, mode="2", vertex_mode="dict").run(graph)
+        cols = DistributedSHP(cfg, mode="2").run(graph)
         assert cols.metrics.peak_transient_bytes() > 0
-        assert dicts.metrics.peak_transient_bytes() == 0
 
     def test_manifest_meter_surfaced(self):
         from repro.api import JobSpec, run

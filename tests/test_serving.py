@@ -15,7 +15,6 @@ from repro.workloads import (
     ServingConfig,
     ServingSimulator,
     apply_query_churn,
-    sample_queries,
 )
 
 
@@ -47,30 +46,23 @@ class TestBatchLoopParity:
             ), trace
 
     def test_empty_queries_skipped_in_both_paths(self):
-        # Query 1 has no neighbors: neither path may emit a sample for it.
+        # Query 1 has no neighbors: the replay emits no sample for it, as
+        # the per-query reference did.
         graph = BipartiteGraph.from_hyperedges([[0, 1, 2], [], [2, 3]], num_data=4)
         assignment = np.array([0, 0, 1, 1])
         trace = np.array([0, 1, 2, 1])
-        for method in ("batch", "loop"):
-            result = replay_traffic(graph, assignment, 2, trace, seed=1, method=method)
-            assert result.num_samples == 2
-            assert result.fanouts.tolist() == [2, 1]
-            assert result.records.tolist() == [3, 2]
+        result = replay_traffic(graph, assignment, 2, trace, seed=1)
+        assert result.num_samples == 2
+        assert result.fanouts.tolist() == [2, 1]
+        assert result.records.tolist() == [3, 2]
 
     def test_empty_trace(self, darwini_graph):
         assignment = np.zeros(darwini_graph.num_data, dtype=np.int64)
-        for method in ("batch", "loop"):
-            result = replay_traffic(
-                darwini_graph, assignment, 4, np.empty(0, dtype=np.int64),
-                seed=0, method=method,
-            )
-            assert result.num_samples == 0
-            assert result.requests_total == 0
-
-    def test_unknown_method_rejected(self, darwini_graph):
-        assignment = np.zeros(darwini_graph.num_data, dtype=np.int64)
-        with pytest.raises(ValueError):
-            replay_traffic(darwini_graph, assignment, 4, np.array([0]), method="async")
+        result = replay_traffic(
+            darwini_graph, assignment, 4, np.empty(0, dtype=np.int64), seed=0
+        )
+        assert result.num_samples == 0
+        assert result.requests_total == 0
 
 
 class TestReplayResult:

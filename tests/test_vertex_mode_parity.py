@@ -14,7 +14,7 @@ The grids:
 * combiner {off, on} on the unweighted graph — assignments equal either
   way (combining is semantically transparent), combined remote traffic
   strictly smaller;
-* the sparse-S3 cells (``2``/8 and ``k``/16), pinned by
+* the sparse-S3 cells (``2``/8 and ``k``/16) of
   ``tests/test_parallel_refine.py``.
 """
 
@@ -36,18 +36,9 @@ def assert_matches_golden(name: str, backend: str, **rpc_kwargs) -> None:
 
 
 @pytest.mark.parametrize("backend", ["sim", "mp", "rpc"])
-@pytest.mark.parametrize("mode", ["2", "k"])
-@pytest.mark.parametrize("weighting", ["unweighted", "query-weighted"])
-class TestVertexModeParity:
-    def test_cell_matches_golden(self, backend, mode, weighting):
-        assert_matches_golden(f"grid-{mode}-{weighting}", backend)
-
-
-@pytest.mark.parametrize("backend", ["sim", "mp", "rpc"])
-@pytest.mark.parametrize("combiner", ["off", "on"])
-class TestCombinerBackendParity:
-    def test_cell_matches_golden(self, backend, combiner):
-        assert_matches_golden(f"combiner-{combiner}", backend)
+@pytest.mark.parametrize("cell", sorted(GOLDENS))
+def test_cell_matches_golden(cell, backend):
+    assert_matches_golden(cell, backend)
 
 
 @pytest.mark.parametrize("cell", ["grid-2-unweighted", "grid-k-query-weighted"])
