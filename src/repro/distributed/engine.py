@@ -255,7 +255,6 @@ class GiraphEngine:
         self.seed = seed
         self.backend = resolve_backend(backend)
         self._rng = np.random.default_rng(seed)
-        self._num_vertices = 0
         self._columns: dict[str, np.ndarray] = {}
         self._graph = None
         #: vid -> worker placement over the vertex ids 0..n-1.
@@ -282,9 +281,6 @@ class GiraphEngine:
         :class:`BipartiteGraph` shared with every worker (zero-copy under
         the multiprocess backend).
         """
-        num_vertices = int(num_vertices)
-        if num_vertices < 0:
-            raise ValueError(f"num_vertices must be non-negative, got {num_vertices}")
         columns = {name: np.asarray(col) for name, col in (columns or {}).items()}
         for name, col in columns.items():
             if col.shape[:1] != (num_vertices,):
@@ -292,11 +288,9 @@ class GiraphEngine:
                     f"column {name!r} has shape {col.shape}, expected "
                     f"{num_vertices} entries (one per vertex)"
                 )
-        self._num_vertices = num_vertices
         self._columns = columns
         self._graph = graph
-        placement = self._rng.integers(0, self.cluster.num_workers, size=num_vertices)
-        self._worker_of = placement.astype(np.int64, copy=False)
+        self._worker_of = self._rng.integers(0, self.cluster.num_workers, size=num_vertices)
         self._worker_vertices = [
             np.flatnonzero(self._worker_of == worker)
             for worker in range(self.cluster.num_workers)
@@ -315,7 +309,7 @@ class GiraphEngine:
             for name, col in part.items():
                 if name not in out:
                     out[name] = np.zeros(
-                        (self._num_vertices,) + col.shape[1:], dtype=col.dtype
+                        self._worker_of.shape + col.shape[1:], dtype=col.dtype
                     )
                 out[name][vids] = col
         return out

@@ -18,12 +18,16 @@ SRC_SCHEMA = MessageSchema("test-src", (("src", "<i8"),))
 VALUE_SCHEMA = MessageSchema("test-value", (("value", "<f8"),))
 
 
-def _rows(part: dict, inbox: list) -> tuple[np.ndarray, list]:
-    """Local row of every inbound message, plus the inbound batches."""
+def _rows(part: dict, inbox: list) -> np.ndarray:
+    """Local row of every inbound message, in inbox order."""
     if not inbox:
-        return np.empty(0, dtype=np.int64), []
-    dst = np.concatenate([batch.dst for batch in inbox])
-    return np.searchsorted(part["vids"], dst), inbox
+        return np.empty(0, dtype=np.int64)
+    return np.searchsorted(part["vids"], np.concatenate([batch.dst for batch in inbox]))
+
+
+def _column(inbox: list, name: str) -> np.ndarray:
+    """Field ``name`` of every inbound message, in inbox order."""
+    return np.concatenate([batch.cols[name] for batch in inbox])
 
 
 class ColumnProgram:
@@ -71,17 +75,16 @@ class EchoProgram(ColumnProgram):
             ctx.send_batch(MessageBatch(SRC_SCHEMA, dst[senders], {"src": vids[senders]}))
             ctx.add_active(int(senders.sum()))
             return
-        rows, batches = _rows(part, inbox)
-        if batches:
-            src = np.concatenate([batch.cols["src"] for batch in batches])
-            np.add.at(part["received"], rows, src)
+        rows = _rows(part, inbox)
+        if inbox:
+            np.add.at(part["received"], rows, _column(inbox, "src"))
             np.add.at(part["count"], rows, 1)
         ctx.add_active(np.unique(rows).size)
 
 
-def ring(n: int, step: int = 1) -> np.ndarray:
-    """Successor array of the ring ``v -> (v + step) % n``."""
-    return (np.arange(n, dtype=np.int64) + step) % n
+def ring(n: int) -> np.ndarray:
+    """Successor array of the ring ``v -> (v + 1) % n``."""
+    return (np.arange(n, dtype=np.int64) + 1) % n
 
 
 class RingProgram(ColumnProgram):
@@ -102,9 +105,8 @@ class RingProgram(ColumnProgram):
 
     def compute_partition(self, ctx, part: dict, inbox: list) -> None:
         vids = part["vids"]
-        rows, batches = _rows(part, inbox)
-        if batches:
-            np.add.at(part["sum"], rows, np.concatenate([b.cols["src"] for b in batches]))
+        if inbox:
+            np.add.at(part["sum"], _rows(part, inbox), _column(inbox, "src"))
         part["coin"] = ctx.random(vids)
         ctx.aggregate_items("seen", {"count": float(vids.size)})
         ctx.send_batch(MessageBatch(SRC_SCHEMA, (vids + 1) % self.n, {"src": vids}))
@@ -131,10 +133,8 @@ class FanInProgram(ColumnProgram):
                 {"value": np.ones(senders.size)},
             ))
             return
-        rows, batches = _rows(part, inbox)
-        if batches:
-            values = np.concatenate([b.cols["value"] for b in batches])
-            np.add.at(part["total"], rows, values)
+        if inbox:
+            np.add.at(part["total"], _rows(part, inbox), _column(inbox, "value"))
 
 
 class StepCounter(ColumnProgram):
