@@ -50,7 +50,9 @@ def sim_reference(graph):
     return {comb: _run(graph, "sim", comb) for comb in (False, True)}
 
 
-@pytest.mark.parametrize("combiner", [False, True])
+# Ids keep naming the vertex layout (columnar) the runs use, as when dict and
+# columnar were both parametrized here.
+@pytest.mark.parametrize("combiner", [False, True], ids=["False-columnar", "True-columnar"])
 def test_rpc_matches_sim_bitwise(graph, sim_reference, combiner):
     reference = sim_reference[combiner]
     run = _run(graph, RpcBackend(step_timeout=60.0), combiner)
@@ -91,11 +93,12 @@ def test_combiner_reduces_wire_bytes_on_rpc(graph):
     assert on.metrics.total_wire_bytes < off.metrics.total_wire_bytes
 
 
-def test_worker_death_mid_superstep_recovers_bitwise(graph, sim_reference):
+@pytest.mark.parametrize("chaos_kill", [(6, 1)], ids=["columnar"])
+def test_worker_death_mid_superstep_recovers_bitwise(graph, sim_reference, chaos_kill):
     """Kill peer 1 right before superstep 6: its logical workers are
     re-homed from checkpoints and the superstep retried — same answer."""
     reference = sim_reference[False]
-    backend = RpcBackend(step_timeout=60.0, chaos_kill=(6, 1))
+    backend = RpcBackend(step_timeout=60.0, chaos_kill=chaos_kill)
     run = _run(graph, backend)
 
     assert np.array_equal(run.assignment, reference.assignment)
