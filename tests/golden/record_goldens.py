@@ -1,4 +1,4 @@
-"""Record the golden oracles for distributed SHP and traffic replay.
+"""Record the golden oracles for distributed SHP, traffic replay and SHP-2.
 
 The goldens pin what the reference implementations computed, so the fast
 paths can be checked against fixed numbers instead of a live twin:
@@ -12,14 +12,28 @@ paths can be checked against fixed numbers instead of a live twin:
 * ``serving_replay.json`` — per replay trace, the SHA-256 of the
   per-query fanout and record arrays (little-endian int64 bytes), the
   store's request and record totals, and the mean modeled latency.
+* ``shp2_levels.json`` — SHP-2 cells in five sections: ``parity-grid``
+  and ``pruned-trailing`` / ``initial-states`` (the cells of
+  ``tests/test_level_fuse.py``), and ``bench-smoke`` / ``bench-full``
+  (the Darwini cells of ``benchmarks/bench_shp2_levels.py``).  Each cell
+  records its graph and options, plus the assignment SHA-256 and/or the
+  average fanout (see :data:`SHP2_FIELDS`).
 
-The committed files were recorded from the per-vertex dict vertex program
+``distributed_shp.json`` and ``serving_replay.json`` were recorded from the per-vertex dict vertex program
 (sim backend) and the per-query loop replay, in the commit that adds this
 script, after checking that the columnar program and the batch replay
 reproduced every recorded value (mean latency within 5%: the batch path
 draws the same distribution in a different order).  Both reference paths
 have since been removed, so the committed files are never rewritten: a
 golden mismatch is a bug in the code under test.
+
+``shp2_levels.json`` is recorded from SHP-2's per-group reference path
+(``level_mode="loop"``: one ``induced_subgraph`` copy and one ``refine()``
+per bisection group), after checking the level-fused path against every
+record: bitwise wherever a level has at most one refinable group (parity
+grid k <= 3, the pruned-trailing and initial-states cells), within the
+tests' fanout tolerances elsewhere (the fused matcher draws one RNG stream
+per level rather than one per group).
 
 Running the script re-records every cell from the current code and
 compares it with the committed goldens (exit status 1 on any mismatch);
@@ -32,6 +46,7 @@ cell's record is produced for review.  From the repository root::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -39,10 +54,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SHPConfig
+from repro import SHPConfig, shp_2
 from repro.distributed import ClusterSpec
 from repro.distributed_shp import DistributedSHP
 from repro.hypergraph import BipartiteGraph, community_bipartite, darwini_bipartite
+from repro.objectives import average_fanout
 from repro.sharding import replay_traffic
 from repro.workloads import sample_queries
 
@@ -205,6 +221,164 @@ def run_replay(trace: dict, **kwargs):
     )
 
 
+def random_bipartite(
+    seed: int,
+    num_queries: int = 400,
+    num_data: int = 600,
+    num_edges: int = 3000,
+    weighted: bool = False,
+) -> BipartiteGraph:
+    """Uniform random edges, optionally with random query and data weights."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, num_queries, num_edges)
+    d = rng.integers(0, num_data, num_edges)
+    query_weights = rng.uniform(0.2, 5.0, num_queries) if weighted else None
+    data_weights = rng.uniform(0.5, 1.5, num_data) if weighted else None
+    return BipartiteGraph.from_edges(
+        q, d, num_queries=num_queries, num_data=num_data,
+        query_weights=query_weights, data_weights=data_weights,
+    )
+
+
+def pruned_trailing_bipartite(seed: int, num_data: int) -> BipartiteGraph:
+    """Random 4-pin queries, except that the last data vertex appears only in
+    single-pin queries: it is fully pruned at every level (an empty trailing
+    CSR row)."""
+    rng = np.random.default_rng(seed)
+    hyperedges = [
+        list(rng.choice(num_data - 1, size=4, replace=False)) for _ in range(80)
+    ]
+    hyperedges += [[num_data - 1]] * 3
+    return BipartiteGraph.from_hyperedges(hyperedges, num_data=num_data)
+
+
+def shp2_graph(spec: dict) -> BipartiteGraph:
+    """An SHP-2 cell's input graph, rebuilt from its recorded ``graph``."""
+    args = {key: value for key, value in spec.items() if key != "kind"}
+    if spec["kind"] == "random":
+        return random_bipartite(**args)
+    if spec["kind"] == "pruned-trailing":
+        return pruned_trailing_bipartite(**args)
+    return _darwini(**args)
+
+
+@functools.lru_cache(maxsize=2)
+def _darwini(num_users: int, avg_degree: int, clustering: float, seed: int):
+    return darwini_bipartite(
+        num_users, avg_degree=avg_degree, clustering=clustering, seed=seed
+    )
+
+
+#: test_level_fuse's parity grid.
+PARITY_KS = (2, 3, 8, 17, 64)
+PARITY_SEEDS = (0, 1, 2)
+#: bench_shp2_levels' iteration budgets and recursion depths.
+BENCH_BUDGETS = (("shallow", 20), ("converge", 60))
+BENCH_SCALES = {"bench-smoke": (4000, (8,)), "bench-full": (200_000, (16, 64, 128))}
+#: The recorded fields of each SHP-2 section.
+SHP2_FIELDS = {
+    "parity-grid": ("assignment_sha256", "average_fanout"),
+    "pruned-trailing": ("assignment_sha256",),
+    "initial-states": ("assignment_sha256",),
+    "bench-smoke": ("average_fanout",),
+    "bench-full": ("average_fanout",),
+}
+
+
+def shp2_cells() -> dict[str, dict[str, dict]]:
+    """Every SHP-2 cell's inputs, by section and cell name."""
+    grid = {}
+    for weighting in ("unweighted", "weighted"):
+        for k in PARITY_KS:
+            for seed in PARITY_SEEDS:
+                grid[f"{weighting}-k{k}-seed{seed}"] = {
+                    "graph": {"kind": "random", "seed": 100 + seed,
+                              "weighted": weighting == "weighted"},
+                    "k": k,
+                    "options": {"seed": seed},
+                }
+    sections = {
+        "parity-grid": grid,
+        "pruned-trailing": {
+            f"seed{seed}": {
+                "graph": {"kind": "pruned-trailing", "seed": 77, "num_data": 60},
+                "k": 2,
+                "options": {"seed": seed},
+            }
+            for seed in (0, 1, 4)
+        },
+        "initial-states": {
+            "k16-seed5": {
+                "graph": {"kind": "random", "seed": 11, "weighted": False},
+                "k": 16,
+                "options": {"seed": 5, "iterations_per_bisection": 0},
+            }
+        },
+    }
+    for section, (num_users, ks) in BENCH_SCALES.items():
+        graph = {"kind": "darwini", "num_users": num_users, "avg_degree": 12,
+                 "clustering": 0.4, "seed": 41}
+        sections[section] = {
+            f"{label}-k{k}": {
+                "graph": graph,
+                "k": k,
+                "options": {"seed": 42, "epsilon": 0.05,
+                            "iterations_per_bisection": iterations},
+            }
+            for label, iterations in BENCH_BUDGETS
+            for k in ks
+        }
+    return sections
+
+
+def run_shp2(cell: dict, **kwargs):
+    """``(graph, result)`` of one SHP-2 cell."""
+    graph = shp2_graph(cell["graph"])
+    return graph, shp_2(graph, cell["k"], **cell["options"], **kwargs)
+
+
+def shp2_record(section: str, graph: BipartiteGraph, result, k: int) -> dict:
+    """The golden fields of one SHP-2 cell in ``section``."""
+    values = {
+        "assignment_sha256": lambda: sha256(result.assignment, "<i4"),
+        "average_fanout": lambda: float(average_fanout(graph, result.assignment, k)),
+    }
+    return {key: values[key]() for key in SHP2_FIELDS[section]}
+
+
+def fanout_delta(fused: float, golden: float) -> float:
+    """Relative fanout difference of a fused run against its golden cell."""
+    return (fused - golden) / golden
+
+
+def check_shp2(section: str, cells: dict[str, dict], fused: dict[str, dict]) -> dict[str, bool]:
+    """Per cell, whether the fused records ``fused`` reproduce the golden
+    ``cells`` of ``section``: bitwise where a level has at most one
+    refinable group, else within the tests' fanout tolerances."""
+    ok = {}
+    for name, cell in cells.items():
+        got = fused[name]
+        if "assignment_sha256" in cell and (section != "parity-grid" or cell["k"] <= 3):
+            ok[name] = got["assignment_sha256"] == cell["assignment_sha256"]
+        else:
+            delta = fanout_delta(got["average_fanout"], cell["average_fanout"])
+            tolerance = {"parity-grid": 0.10, "bench-smoke": 0.25}.get(section, 0.01)
+            ok[name] = abs(delta) <= tolerance
+    if section == "parity-grid":
+        # The grid's aggregate bound: fused is not systematically worse.
+        for weighting in ("unweighted", "weighted"):
+            deltas = [
+                fanout_delta(fused[name]["average_fanout"], cell["average_fanout"])
+                for name, cell in cells.items()
+                if name.startswith(f"{weighting}-") and cell["k"] > 3
+            ]
+            if np.mean(deltas) > 0.02:
+                for name in cells:
+                    if name.startswith(f"{weighting}-"):
+                        ok[name] = False
+    return ok
+
+
 def load_goldens(filename: str) -> dict:
     """The committed golden file ``filename`` of this directory."""
     return json.loads((HERE / filename).read_text(encoding="utf-8"))
@@ -249,10 +423,29 @@ def main(argv: list[str] | None = None) -> int:
         mismatches += not ok
         print(f"{name}: {record['num_samples']} samples {'ok' if ok else 'MISMATCH'}")
 
+    shp2_goldens = load_goldens("shp2_levels.json") if (HERE / "shp2_levels.json").exists() else {}
+    shp2: dict[str, dict[str, dict]] = {}
+    for section, cells in shp2_cells().items():
+        shp2[section] = {}
+        fused = {}
+        for name, cell in cells.items():
+            loop = shp2_record(section, *run_shp2(cell, level_mode="loop"), cell["k"])
+            shp2[section][name] = {**cell, **loop}
+            fused[name] = shp2_record(section, *run_shp2(cell), cell["k"])
+        fused_ok = check_shp2(section, shp2[section], fused)
+        for name, record in shp2[section].items():
+            golden_ok = shp2_goldens.get(section, {}).get(name) == record
+            mismatches += not (fused_ok[name] and golden_ok)
+            status = "ok" if fused_ok[name] and golden_ok else (
+                "MISMATCH" + (" fused" if not fused_ok[name] else "")
+                + (" golden" if not golden_ok else ""))
+            print(f"{section}/{name}: {status}")
+
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         for filename, cells in (("distributed_shp.json", dshp),
-                                ("serving_replay.json", replays)):
+                                ("serving_replay.json", replays),
+                                ("shp2_levels.json", shp2)):
             text = json.dumps(cells, indent=1) + "\n"
             (args.out / filename).write_text(text, encoding="utf-8")
     return 1 if mismatches else 0
