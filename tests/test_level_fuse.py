@@ -1,11 +1,14 @@
-"""Fused-vs-loop parity and unit tests for the level-fused SHP-2 engine.
+"""Golden parity and unit tests for the level-fused SHP-2 engine.
 
 The fused engine must be *semantically* the same algorithm as the per-group
-reference path: identical initial states per seed, identical capacity and
-convergence rules, identical gain values (up to float association).  The
-matcher RNG stream is per-level instead of per-group, so assignments are
-bitwise identical whenever a level has at most one refinable group (k ≤ 3)
-and statistically equivalent otherwise — which is what the parity grid pins.
+reference path it replaced (one ``induced_subgraph`` copy and one
+refinement loop per group): identical initial states per seed, identical
+capacity and convergence rules, identical gain values (up to float
+association).  ``tests/golden/shp2_levels.json`` holds what that reference
+path computed.  The matcher RNG stream is per-level instead of per-group,
+so assignments reproduce the golden SHA-256 bitwise whenever a level has at
+most one refinable group (k ≤ 3) and its fanout statistically otherwise —
+which is what the parity grid pins.
 """
 
 from __future__ import annotations
@@ -13,6 +16,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from golden.record_goldens import (
+    PARITY_KS,
+    PARITY_SEEDS,
+    load_goldens,
+    random_bipartite,
+    run_shp2,
+    sha256,
+)
 from repro import SHPConfig, shp_2
 from repro.core import LevelGroup, refine_level_fused, sibling_move_gains
 from repro.core.gains import move_gains_dense
@@ -25,69 +36,53 @@ from repro.objectives import (
     update_bucket_counts,
 )
 
-
-def random_bipartite(
-    seed: int,
-    num_queries: int = 400,
-    num_data: int = 600,
-    num_edges: int = 3000,
-    weighted: bool = False,
-) -> BipartiteGraph:
-    rng = np.random.default_rng(seed)
-    q = rng.integers(0, num_queries, num_edges)
-    d = rng.integers(0, num_data, num_edges)
-    query_weights = rng.uniform(0.2, 5.0, num_queries) if weighted else None
-    data_weights = rng.uniform(0.5, 1.5, num_data) if weighted else None
-    return BipartiteGraph.from_edges(
-        q, d, num_queries=num_queries, num_data=num_data,
-        query_weights=query_weights, data_weights=data_weights,
-    )
+GOLDENS = load_goldens("shp2_levels.json")
 
 
 def random_labels(rng: np.random.Generator, num_data: int, num_labels: int) -> np.ndarray:
     return rng.integers(0, num_labels, num_data).astype(np.int64)
 
 
+def assert_matches_loop_sha(section: str, name: str) -> None:
+    """The fused run of golden cell ``name`` reproduces its loop SHA-256."""
+    cell = GOLDENS[section][name]
+    _, fused = run_shp2(cell)
+    assert sha256(fused.assignment, "<i4") == cell["assignment_sha256"], name
+
+
 class TestFusedLoopParity:
-    """Property grid over k ∈ {2, 3, 8, 17, 64}, weighted and unweighted."""
+    """Property grid over k ∈ {2, 3, 8, 17, 64}, weighted and unweighted,
+    against the loop path's golden records."""
 
-    KS = (2, 3, 8, 17, 64)
-    SEEDS = (0, 1, 2)
     EPSILON = 0.05
-
-    def _run_pair(self, graph, k, seed):
-        loop = shp_2(graph, k, seed=seed, level_mode="loop")
-        fused = shp_2(graph, k, seed=seed, level_mode="fused")
-        return loop, fused
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_parity_grid(self, weighted):
+        weighting = "weighted" if weighted else "unweighted"
         deltas = []
-        for k in self.KS:
-            for seed in self.SEEDS:
-                graph = random_bipartite(100 + seed, weighted=weighted)
-                loop, fused = self._run_pair(graph, k, seed)
-                for result in (loop, fused):
-                    assert result.assignment.shape == (graph.num_data,)
-                    assert result.assignment.min() >= 0
-                    assert result.assignment.max() < k
+        for k in PARITY_KS:
+            for seed in PARITY_SEEDS:
+                golden = GOLDENS["parity-grid"][f"{weighting}-k{k}-seed{seed}"]
+                graph, fused = run_shp2(golden)
+                assert fused.assignment.shape == (graph.num_data,)
+                assert fused.assignment.min() >= 0
+                assert fused.assignment.max() < k
                 if not weighted:
-                    # The ε-capacity bound both paths enforce, measured against
-                    # the global per-leaf target (+1 for the deficit relax).
+                    # The ε-capacity bound, measured against the global
+                    # per-leaf target (+1 for the deficit relax).
                     bound = max(
                         int(np.floor((1 + self.EPSILON) * graph.num_data / k)),
                         int(np.ceil(graph.num_data / k)),
                     ) + 1
-                    for result in (loop, fused):
-                        sizes = np.bincount(result.assignment, minlength=k)
-                        assert sizes.max() <= bound
-                f_loop = average_fanout(graph, loop.assignment, k)
+                    sizes = np.bincount(fused.assignment, minlength=k)
+                    assert sizes.max() <= bound
+                f_loop = golden["average_fanout"]
                 f_fused = average_fanout(graph, fused.assignment, k)
                 if k <= 3:
                     # At most one refinable group per level: the matcher
                     # consumes the very same RNG stream, so the runs must
                     # agree bitwise, not just statistically.
-                    assert np.array_equal(loop.assignment, fused.assignment)
+                    assert sha256(fused.assignment, "<i4") == golden["assignment_sha256"]
                 else:
                     deltas.append((f_fused - f_loop) / f_loop)
         deltas = np.asarray(deltas)
@@ -103,16 +98,7 @@ class TestFusedLoopParity:
         """Regression: a last vertex appearing only in single-pin queries is
         fully pruned for the level (empty trailing CSR row); the truncated
         segment sums this used to cause broke the exact k=2 parity."""
-        rng = np.random.default_rng(77)
-        num_data = 60
-        hyperedges = [
-            list(rng.choice(num_data - 1, size=4, replace=False)) for _ in range(80)
-        ]
-        hyperedges += [[num_data - 1]] * 3  # last vertex: single-pin queries only
-        graph = BipartiteGraph.from_hyperedges(hyperedges, num_data=num_data)
-        loop = shp_2(graph, 2, seed=seed, level_mode="loop")
-        fused = shp_2(graph, 2, seed=seed, level_mode="fused")
-        assert np.array_equal(loop.assignment, fused.assignment)
+        assert_matches_loop_sha("pruned-trailing", f"seed{seed}")
 
     def test_fused_deterministic(self):
         graph = random_bipartite(7)
@@ -121,13 +107,9 @@ class TestFusedLoopParity:
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_identical_initial_states(self):
-        """Both modes must consume identical RNG draws for initialization:
+        """Fused must consume the loop path's RNG draws for initialization:
         with zero refinement iterations the assignments coincide bitwise."""
-        graph = random_bipartite(11)
-        kwargs = dict(seed=5, iterations_per_bisection=0)
-        loop = shp_2(graph, 16, level_mode="loop", **kwargs)
-        fused = shp_2(graph, 16, level_mode="fused", **kwargs)
-        assert np.array_equal(loop.assignment, fused.assignment)
+        assert_matches_loop_sha("initial-states", "k16-seed5")
 
     def test_default_level_mode_is_fused(self):
         assert SHPConfig(k=4).level_mode == "fused"
