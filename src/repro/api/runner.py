@@ -159,8 +159,6 @@ def _run_local(spec: JobSpec, graph: BipartiteGraph) -> Any:
         kwargs["p"] = alg.p
         if alg.objective != "pfanout":
             kwargs["objective"] = alg.objective
-    if "level_mode" in accepts:
-        kwargs["level_mode"] = alg.level_mode
     if "refine_workers" in accepts and spec.execution.refine_workers > 1:
         # Parallel level-fused refinement: an execution knob (it changes
         # where gains are computed, never the bits), so it rides on the

@@ -62,7 +62,6 @@ __all__ = [
 
 GRAPH_SOURCES = ("file", "dataset", "darwini")
 JOB_KINDS = ("partition", "serving", "stream-refine")
-LEVEL_MODES = ("fused", "loop")
 SERVING_METHODS = ("2", "k")
 LOCAL_BACKEND = "local"
 
@@ -179,10 +178,12 @@ class GraphSpec:
 class AlgorithmSpec:
     """Which partitioner to run and its quality knobs.
 
-    ``name`` is any :data:`~repro.api.registry.PARTITIONERS` entry.  ``p``,
-    ``objective``, and ``level_mode`` apply only to algorithms whose
-    registry metadata accepts them (the runner routes knobs by metadata, so
-    e.g. ``random`` ignores ``level_mode`` instead of crashing).
+    ``name`` is any :data:`~repro.api.registry.PARTITIONERS` entry.  ``p``
+    and ``objective`` apply only to algorithms whose registry metadata
+    accepts them (the runner routes knobs by metadata, so e.g. ``random``
+    ignores ``objective`` instead of crashing).  ``level_mode`` is kept so
+    older job files still load; it accepts only ``"fused"``, the one way
+    SHP-2 runs a recursion level.
     ``options`` is a free-form table of extra keyword arguments forwarded
     verbatim to the partitioner / :class:`~repro.core.config.SHPConfig`
     (``matcher``, ``move_damping``, ``max_iterations``, ...).
@@ -203,7 +204,11 @@ class AlgorithmSpec:
         _check_type(self.epsilon, (int, float), f"{p}.epsilon")
         _check_type(self.p, (int, float), f"{p}.p")
         _check_registry(self.objective, OBJECTIVES, f"{p}.objective")
-        _check_choice(self.level_mode, LEVEL_MODES, f"{p}.level_mode")
+        if self.level_mode != "fused":
+            raise SpecError(
+                f"{p}.level_mode: must be 'fused' (the per-group 'loop' "
+                f"mode was removed); got {self.level_mode!r}"
+            )
         _check_type(self.options, Mapping, f"{p}.options")
         # k = 1 is degenerate but legal for the trivial baselines
         # (random/hash); SHP's own k >= 2 floor is enforced by SHPConfig.

@@ -2,10 +2,10 @@
 
 The paper's production variant runs *all* bucket-pair subproblems of a
 recursion level concurrently in a single Giraph job (Sections 3.3-3.4).
-The reference in-process path mirrors the recursion literally instead: one
-``induced_subgraph`` copy plus one refinement loop per group, which at
-``k = 128`` means 127 sequential subproblem setups, each scanning the full
-edge array to carve out its subgraph.
+Mirroring the recursion literally instead — one ``induced_subgraph`` copy
+plus one refinement loop per group — would at ``k = 128`` mean 127
+sequential subproblem setups, each scanning the full edge array to carve
+out its subgraph.
 
 This module is the in-process analogue of the paper's level-synchronous
 plan.  Each vertex's state is a composite virtual-bucket label
@@ -19,8 +19,8 @@ counts pass, one gain kernel, and one matcher invocation per iteration:
   n_cur``, applying a move is one ``±1`` scatter, and memory is bounded by
   ``O(|E|)`` regardless of ``|Q| · G``.  All hot loops run in a
   group-sorted *rank space*, so each group touches only its own slot
-  range, keeping the working set cache-friendly the same way the
-  per-group path's small subgraph counts are.  The general dense layout
+  range, keeping the working set cache-friendly the same way small
+  per-group subgraph counts would be.  The general dense layout
   is available as :func:`~repro.objectives.evaluate.grouped_bucket_counts`.
 * **gains** — every vertex may only move to the sibling column of its own
   pair, so the |D| × 2G gain matrix collapses to a scalar per vertex,
@@ -44,13 +44,15 @@ tracking is maintained by exact per-slot *deltas* at each iteration's
 touched (query, group) slots, so tracking costs ``O(moved neighborhood)``
 per iteration instead of ``O(|Q| · L)``.
 
-Both modes draw identical initial sides per seed (the driver initializes
-before dispatching); the matcher RNG stream then diverges — one stream per
-level here versus one per group there — so assignments agree statistically
-(equal balance, fanout parity pinned by tests and the
+The per-group recursion survives as golden records
+(``tests/golden/shp2_levels.json``).  Initial sides are drawn identically
+per seed (the driver initializes before dispatching); the matcher RNG
+stream then differs — one stream per level here versus one per group
+there — so assignments agree with the goldens statistically (equal
+balance, fanout parity pinned by ``tests/test_level_fuse.py`` and the
 ``bench_shp2_levels`` benchmark) rather than bitwise, except on levels
 with a single refinable group (k ≤ 3), where the streams coincide and the
-parity is exact.
+golden SHA-256 is reproduced exactly.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def refine_level_fused(
     Mutates each :class:`LevelGroup` in ``groups``, filling ``final_side``.
     Returns ``(per-iteration stats, converged)`` where ``converged`` means
     every refinable group's moved fraction dropped below the threshold
-    within the iteration budget — the same criterion the per-group loop
-    applies individually.
+    within the iteration budget — the criterion
+    :func:`~repro.core.refinement.refine` applies to one (sub)graph.
 
     When ``pool`` is given (``refine_workers > 1``), the gain kernel runs
     block-parallel in the pool's worker processes over a shared-memory
@@ -206,8 +208,8 @@ def refine_level_fused(
     history: list[IterationStats] = []
     for group in groups:
         group.final_side = np.asarray(group.side, dtype=np.int32)
-    # Groups too small to refine keep their initial sides (the per-group
-    # path skips them the same way); they never enter the rank space.
+    # Groups too small to refine keep their initial sides, as the goldens'
+    # per-group recursion skipped them; they never enter the rank space.
     refinable = [g for g in groups if g.data_ids.size > 2]
     if not refinable or graph.num_queries == 0:
         return history, True
@@ -497,7 +499,7 @@ def refine_level_fused(
             )
         )
 
-        # Per-group convergence, matching the per-group loop's early exit:
+        # Per-group convergence, matching refine()'s early exit per group:
         # a bisection whose own moved fraction drops below the threshold
         # stops proposing (its vertices freeze at their current side).
         moved_per_group = np.bincount(rank_group[moved_ranks], minlength=num_groups)

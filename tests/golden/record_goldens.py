@@ -19,21 +19,24 @@ paths can be checked against fixed numbers instead of a live twin:
   records its graph and options, plus the assignment SHA-256 and/or the
   average fanout (see :data:`SHP2_FIELDS`).
 
-``distributed_shp.json`` and ``serving_replay.json`` were recorded from the per-vertex dict vertex program
-(sim backend) and the per-query loop replay, in the commit that adds this
-script, after checking that the columnar program and the batch replay
-reproduced every recorded value (mean latency within 5%: the batch path
-draws the same distribution in a different order).  Both reference paths
-have since been removed, so the committed files are never rewritten: a
-golden mismatch is a bug in the code under test.
+``distributed_shp.json`` and ``serving_replay.json`` were recorded from
+the per-vertex dict vertex program (sim backend) and the per-query loop
+replay, in the commit that adds this script, after checking that the
+columnar program and the batch replay reproduced every recorded value
+(mean latency within 5%: the batch path draws the same distribution in a
+different order).  Both reference paths have since been removed, so the
+committed files are never rewritten: a golden mismatch is a bug in the
+code under test.
 
-``shp2_levels.json`` is recorded from SHP-2's per-group reference path
+``shp2_levels.json`` was recorded from SHP-2's per-group reference path
 (``level_mode="loop"``: one ``induced_subgraph`` copy and one ``refine()``
 per bisection group), after checking the level-fused path against every
 record: bitwise wherever a level has at most one refinable group (parity
 grid k <= 3, the pruned-trailing and initial-states cells), within the
 tests' fanout tolerances elsewhere (the fused matcher draws one RNG stream
-per level rather than one per group).
+per level rather than one per group).  The loop path has since been
+removed too, so the script re-checks every SHP-2 cell against the current
+fused code the same way, and ``--out`` writes no SHP-2 records.
 
 Running the script re-records every cell from the current code and
 compares it with the committed goldens (exit status 1 on any mismatch);
@@ -339,11 +342,13 @@ def run_shp2(cell: dict, **kwargs):
 
 def shp2_record(section: str, graph: BipartiteGraph, result, k: int) -> dict:
     """The golden fields of one SHP-2 cell in ``section``."""
-    values = {
-        "assignment_sha256": lambda: sha256(result.assignment, "<i4"),
-        "average_fanout": lambda: float(average_fanout(graph, result.assignment, k)),
-    }
-    return {key: values[key]() for key in SHP2_FIELDS[section]}
+    fields = SHP2_FIELDS[section]
+    record: dict = {}
+    if "assignment_sha256" in fields:
+        record["assignment_sha256"] = sha256(result.assignment, "<i4")
+    if "average_fanout" in fields:
+        record["average_fanout"] = float(average_fanout(graph, result.assignment, k))
+    return record
 
 
 def fanout_delta(fused: float, golden: float) -> float:
@@ -423,29 +428,22 @@ def main(argv: list[str] | None = None) -> int:
         mismatches += not ok
         print(f"{name}: {record['num_samples']} samples {'ok' if ok else 'MISMATCH'}")
 
-    shp2_goldens = load_goldens("shp2_levels.json") if (HERE / "shp2_levels.json").exists() else {}
-    shp2: dict[str, dict[str, dict]] = {}
+    shp2_goldens = load_goldens("shp2_levels.json")
     for section, cells in shp2_cells().items():
-        shp2[section] = {}
-        fused = {}
+        golden = shp2_goldens[section]
+        fused = {name: shp2_record(section, *run_shp2(cell), cell["k"])
+                 for name, cell in cells.items()}
+        fused_ok = check_shp2(section, golden, fused)
         for name, cell in cells.items():
-            loop = shp2_record(section, *run_shp2(cell, level_mode="loop"), cell["k"])
-            shp2[section][name] = {**cell, **loop}
-            fused[name] = shp2_record(section, *run_shp2(cell), cell["k"])
-        fused_ok = check_shp2(section, shp2[section], fused)
-        for name, record in shp2[section].items():
-            golden_ok = shp2_goldens.get(section, {}).get(name) == record
-            mismatches += not (fused_ok[name] and golden_ok)
-            status = "ok" if fused_ok[name] and golden_ok else (
-                "MISMATCH" + (" fused" if not fused_ok[name] else "")
-                + (" golden" if not golden_ok else ""))
-            print(f"{section}/{name}: {status}")
+            inputs = {key: golden[name][key] for key in cell}
+            ok = fused_ok[name] and inputs == cell
+            mismatches += not ok
+            print(f"{section}/{name}: {'ok' if ok else 'MISMATCH'}")
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         for filename, cells in (("distributed_shp.json", dshp),
-                                ("serving_replay.json", replays),
-                                ("shp2_levels.json", shp2)):
+                                ("serving_replay.json", replays)):
             text = json.dumps(cells, indent=1) + "\n"
             (args.out / filename).write_text(text, encoding="utf-8")
     return 1 if mismatches else 0

@@ -37,19 +37,6 @@ class TestPartitionCommand:
         assert rc == 0
         assert algorithm in capsys.readouterr().out
 
-    @pytest.mark.parametrize("level_mode", ["fused", "loop"])
-    def test_level_mode_flag(self, graph_file, tmp_path, level_mode):
-        path, graph = graph_file
-        out = tmp_path / f"assign-{level_mode}.txt"
-        rc = main([
-            "partition", str(path), "-k", "8", "--seed", "1",
-            "--level-mode", level_mode, "-o", str(out),
-        ])
-        assert rc == 0
-        assignment = np.loadtxt(out, dtype=np.int64)
-        assert assignment.size == graph.num_data
-        assert np.unique(assignment).size == 8
-
     def test_objective_flag(self, graph_file, capsys):
         path, _ = graph_file
         rc = main(["partition", str(path), "-k", "4", "--objective", "cliquenet"])

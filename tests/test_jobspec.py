@@ -70,13 +70,12 @@ class TestRoundTrip:
         epsilon=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
         p=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
         objective=st.sampled_from(OBJECTIVES.names()),
-        level_mode=st.sampled_from(["fused", "loop"]),
         backend=st.sampled_from(["local", *BACKENDS.names()]),
         workers=st.integers(min_value=1, max_value=8),
         source=st.sampled_from(["dataset", "darwini"]),
     )
     def test_round_trip_property(
-        self, kind, seed, name, k, epsilon, p, objective, level_mode,
+        self, kind, seed, name, k, epsilon, p, objective,
         backend, workers, source,
     ):
         """from_dict(to_dict(s)) == s over the whole enum/range grid."""
@@ -86,7 +85,7 @@ class TestRoundTrip:
             graph=GraphSpec(source=source, dataset="email-Enron", scale=0.01),
             algorithm=AlgorithmSpec(
                 name=name, k=k, epsilon=epsilon, p=p,
-                objective=objective, level_mode=level_mode,
+                objective=objective,
             ),
             execution=ExecutionSpec(backend=backend, workers=workers),
         )
@@ -120,6 +119,7 @@ class TestValidationErrors:
             ({"execution": {"backend": "smoke-signal"}}, "execution.backend"),
             ({"execution": {"vertex_mode": "nope"}}, "execution.vertex_mode"),
             ({"serving": {"method": "3"}}, "serving.method"),
+            ({"algorithm": {"level_mode": "loop"}}, "algorithm.level_mode"),
         ],
     )
     def test_bad_enums_name_dotted_path(self, data, dotted_path):

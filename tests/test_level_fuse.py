@@ -25,6 +25,7 @@ from golden.record_goldens import (
     sha256,
 )
 from repro import SHPConfig, shp_2
+from repro.api import AlgorithmSpec, SpecError
 from repro.core import LevelGroup, refine_level_fused, sibling_move_gains
 from repro.core.gains import move_gains_dense
 from repro.hypergraph import BipartiteGraph
@@ -102,8 +103,8 @@ class TestFusedLoopParity:
 
     def test_fused_deterministic(self):
         graph = random_bipartite(7)
-        a = shp_2(graph, 17, seed=3, level_mode="fused")
-        b = shp_2(graph, 17, seed=3, level_mode="fused")
+        a = shp_2(graph, 17, seed=3)
+        b = shp_2(graph, 17, seed=3)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_identical_initial_states(self):
@@ -112,19 +113,19 @@ class TestFusedLoopParity:
         assert_matches_loop_sha("initial-states", "k16-seed5")
 
     def test_default_level_mode_is_fused(self):
-        assert SHPConfig(k=4).level_mode == "fused"
-        graph = random_bipartite(13)
-        result = shp_2(graph, 8, seed=1)
-        assert result.extra["level_mode"] == "fused"
+        """Job files may still name the one level mode."""
+        assert AlgorithmSpec().level_mode == "fused"
+        assert AlgorithmSpec(level_mode="fused").level_mode == "fused"
 
     def test_invalid_level_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SHPConfig(k=4, level_mode="turbo")
+        for mode in ("loop", "turbo"):
+            with pytest.raises(SpecError, match=r"algorithm\.level_mode"):
+                AlgorithmSpec(level_mode=mode)
 
     @pytest.mark.parametrize("matcher", ["histogram", "uniform"])
     def test_both_matchers_supported(self, matcher):
         graph = random_bipartite(17)
-        result = shp_2(graph, 8, seed=2, matcher=matcher, level_mode="fused")
+        result = shp_2(graph, 8, seed=2, matcher=matcher)
         rng = np.random.default_rng(0)
         random_assign = rng.integers(0, 8, graph.num_data).astype(np.int32)
         assert average_fanout(graph, result.assignment, 8) < average_fanout(
@@ -133,8 +134,7 @@ class TestFusedLoopParity:
 
     def test_warm_start_fused(self):
         graph = random_bipartite(19)
-        first = shp_2(graph, 8, seed=3, level_mode="fused")
-        warm = shp_2(graph, 8, seed=4, level_mode="fused")
+        first = shp_2(graph, 8, seed=3)
         cfg = SHPConfig(k=8, seed=4, iterations_per_bisection=3)
         from repro import SHP2Partitioner
 
@@ -305,7 +305,7 @@ class TestRefineLevelFused:
 
     def test_history_tracks_level_metrics(self):
         graph = random_bipartite(67)
-        result = shp_2(graph, 8, seed=1, level_mode="fused", track_metrics="full")
+        result = shp_2(graph, 8, seed=1, track_metrics="full")
         assert result.extra["num_levels"] == 3
         assert len(result.levels) == 3
         for level in result.levels:

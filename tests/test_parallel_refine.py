@@ -71,9 +71,9 @@ class TestParallelParityGrid:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bitwise_parity(self, workers, k, weighted):
         graph = random_bipartite(self.SEED + k, weighted=weighted)
-        serial = shp_2(graph, k, seed=self.SEED, level_mode="fused")
+        serial = shp_2(graph, k, seed=self.SEED)
         parallel = shp_2(
-            graph, k, seed=self.SEED, level_mode="fused",
+            graph, k, seed=self.SEED,
             refine_workers=workers,
         )
         assert np.array_equal(serial.assignment, parallel.assignment)

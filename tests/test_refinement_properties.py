@@ -200,14 +200,14 @@ class TestWeightedBalance:
         slack = weights.max() / (weights.sum() / k)
         assert imbalance(result.assignment, k, weights) <= eps + slack
 
-    @pytest.mark.parametrize("level_mode", ["loop", "fused"])
-    def test_shp_2_honors_weighted_epsilon(self, weighted_graph, level_mode):
+    @pytest.mark.parametrize("level", ["fused"])
+    def test_shp_2_honors_weighted_epsilon(self, weighted_graph, level):
         from repro import shp_2
         from repro.objectives import imbalance
 
         graph, weights = weighted_graph
         k, eps = 8, 0.05
-        result = shp_2(graph, k, seed=1, epsilon=eps, level_mode=level_mode)
+        result = shp_2(graph, k, seed=1, epsilon=eps)
         slack = weights.max() / (weights.sum() / k)
         assert imbalance(result.assignment, k, weights) <= eps + slack
 
