@@ -17,6 +17,7 @@ each worker re-maps the file locally and :meth:`GraphStore.data_range` /
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "open_store_view",
     "write_store",
 ]
+
+logger = logging.getLogger("repro")
 
 
 class StoreBackedGraph(BipartiteGraph):
@@ -60,6 +63,23 @@ class StoreBackedGraph(BipartiteGraph):
 
     def __reduce__(self):
         return (open_store_view, (str(self.store.path),))
+
+    def remove_small_queries(self, min_degree: int = 2) -> BipartiteGraph:
+        """:meth:`BipartiteGraph.remove_small_queries`, loudly.
+
+        Dropping a query rebuilds the CSR in memory, so the result is a
+        plain :class:`BipartiteGraph` that pickles its arrays instead of the
+        store path; that fallback logs one WARNING on the ``repro`` logger.
+        """
+        pruned = super().remove_small_queries(min_degree)
+        if pruned is not self:
+            logger.warning(
+                "remove_small_queries dropped %d queries of degree < %d from "
+                "store %s; the pruned graph is an in-memory copy and pickles "
+                "its arrays, not the store path",
+                self.num_queries - pruned.num_queries, min_degree, self.store_path,
+            )
+        return pruned
 
 
 def open_store_view(path: str | Path) -> StoreBackedGraph:

@@ -7,6 +7,7 @@ Mirrors the wire-protocol test style: the format's failure taxonomy
 
 from __future__ import annotations
 
+import logging
 import pickle
 import struct
 
@@ -140,6 +141,31 @@ class TestPickling:
         restored = pickle.loads(blob)
         _assert_same_graph(g, restored)
         assert restored.store_path == view.store_path
+
+
+class TestSmallQueryFallback:
+    def test_dropping_queries_logs_the_in_memory_fallback(self, tmp_path, caplog):
+        path = tmp_path / "g.rgs"
+        # Queries 1 and 3 have degree one.
+        graph = BipartiteGraph.from_hyperedges([[0, 1], [2], [1, 2, 3], [0]], num_data=4)
+        write_store(graph, path)
+        view = open_store_view(path)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            pruned = view.remove_small_queries()
+        assert not isinstance(pruned, StoreBackedGraph)
+        assert pruned.num_queries == 2
+        (warning,) = caplog.records
+        assert warning.levelno == logging.WARNING and warning.name == "repro"
+        assert str(path) in warning.getMessage()
+        assert "dropped 2 queries" in warning.getMessage()
+
+    def test_nothing_to_drop_keeps_the_view_silently(self, tmp_path, caplog):
+        path = tmp_path / "g.rgs"
+        write_store(BipartiteGraph.from_hyperedges([[0, 1], [1, 2, 3]], num_data=4), path)
+        view = open_store_view(path)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            assert view.remove_small_queries() is view
+        assert caplog.records == []
 
 
 class TestErrors:
